@@ -8,7 +8,7 @@ from .fqring import (FqClass, FqFunction, all_functions, classify,
                      is_permutation, reduce_ring, ring_compose,
                      zero_divisor_witness)
 from .numutil import greatest_proper_divisor, is_prime, prime_factors
-from .oracle import (OracleBudget, SearchResult, h_adic_expansion,
+from .oracle import (OracleBudget, SearchResult, decompose, h_adic_expansion,
                      poly_decompose, rat_decompose, rat_decompose_all_k,
                      rat_decompose_via_reduction, right_factor_quotient,
                      solve_left_factor)
@@ -23,7 +23,7 @@ from .primality import (CompositeWitness, PrimeByDegree, PrimeByNonzeroSimpleCri
 from .ratfun import RatFun, mobius_inverse, normalize_right_factor, rat_compose, valency
 from .resultants import (CriticalValueReport, DiscriminantSplit, XTPoly,
                          bareiss_determinant, composite_resultant_check,
-                         critical_values, disc_in_t, discriminant, interpolate,
+                         critical_report, critical_values, disc_in_t, discriminant, interpolate,
                          rat_resultant_in_t, res_x_linear_t, resultant,
                          split_discriminant, sylvester_matrix, sylvester_resultant)
 from .squarefree import SquarefreeFactorization, squarefree_decompose

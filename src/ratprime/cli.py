@@ -15,15 +15,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import DegenerateDerivativeError, PreconditionError, RatPrimeError
-from .fields import Fp, PrimeField, QQ, parse_field
+from .errors import PreconditionError
+from .fields import Fp, PrimeField, parse_field
 from .fqring import FqClass, classify, reduce_ring, ring_compose, zero_divisor_witness
-from .oracle import OracleBudget, SearchResult, poly_decompose, rat_decompose_all_k, rat_decompose_via_reduction
+from .oracle import OracleBudget, SearchResult, decompose
 from .parser import ParseError, format_poly, format_ratfun, parse_expression
-from .poly import Poly
-from .primality import CompositeWitness, Unknown, Verdict, analyze
+from .primality import CompositeWitness, Verdict, analyze
 from .ratfun import RatFun
-from .resultants import critical_values, disc_in_t, rat_resultant_in_t
+from .resultants import CriticalValueReport, critical_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,18 +76,28 @@ def _blank_report(command: str) -> dict:
     }
 
 
-def _fill_critical_section(report: dict, f: RatFun) -> None:
+def _read_function(args, report: dict, requirement: str, min_degree: int = 1) -> RatFun:
+    """Parse EXPR over --field, reject it with `requirement` unless its degree
+    is at least min_degree, and record its field, degree and ord_infinity."""
+    field = parse_field(args.field)
+    f = parse_expression(args.expr, field)
+    if f.is_zero or f.is_constant or f.degree < min_degree:
+        raise PreconditionError(requirement)
+    report["field"] = repr(field)
+    report["degree"] = f.degree
+    report["ord_infinity"] = f.ord_infinity
+    return f
+
+
+def _fill_critical_section(report: dict, critical: CriticalValueReport | None) -> None:
     section = report["critical_values"]
-    try:
-        disc = disc_in_t(f.numerator) if f.is_polynomial else rat_resultant_in_t(f)
-    except DegenerateDerivativeError:
+    if critical is None:
         section["degenerate"] = True
         return
-    cv = critical_values(disc)
-    section["disc_coefficients"] = [_element_str(c) for c in disc.coeffs]
-    section["simple_count"] = cv.simple_count
-    section["nonzero_simple_count"] = cv.nonzero_simple_count
-    section["zero_multiplicity"] = cv.zero_multiplicity
+    section["disc_coefficients"] = [_element_str(c) for c in critical.disc_t.coeffs]
+    section["simple_count"] = critical.simple_count
+    section["nonzero_simple_count"] = critical.nonzero_simple_count
+    section["zero_multiplicity"] = critical.zero_multiplicity
 
 
 def _fill_verdict(report: dict, verdict: Verdict) -> None:
@@ -107,70 +116,34 @@ def _fill_verdict(report: dict, verdict: Verdict) -> None:
         v["notes"] = list(verdict.notes)
 
 
-def _oracle_status(report: dict, verdict: Verdict | None,
-                   budget: OracleBudget | None,
-                   search: SearchResult | None = None) -> None:
+def _fill_oracle_section(report: dict, search: SearchResult | None) -> None:
+    """An absent search leaves the status "unused"."""
+    if search is None:
+        return
     section = report["oracle"]
-    if budget is None:
-        section["status"] = "unused"
-        return
-    if isinstance(verdict, Verdict) and verdict.is_prime_certificate:
-        section["status"] = "unused"
-        return
-    if isinstance(verdict, CompositeWitness) or (search and search.witness):
-        section["status"] = "witness"
-    else:
-        section["status"] = "exhausted"
-    if search is not None:
-        section["exhaustive"] = search.exhaustive
-        section["candidates"] = search.candidates
+    section["status"] = "witness" if search.witness else "exhausted"
+    section["exhaustive"] = search.exhaustive
+    section["candidates"] = search.candidates
 
 
 def _cmd_analyze(args, report: dict) -> int:
-    field = parse_field(args.field)
-    f = parse_expression(args.expr, field)
-    if f.is_zero or f.is_constant or f.degree < 2:
-        raise PreconditionError("analysis needs degree >= 2")
-    report["field"] = repr(field)
-    report["degree"] = f.degree
-    report["ord_infinity"] = f.ord_infinity
-    _fill_critical_section(report, f)
+    f = _read_function(args, report, "analysis needs degree >= 2", 2)
     budget = OracleBudget(candidate_cap=args.oracle_budget) if args.oracle_budget else None
     verdict = analyze(f, budget)
+    _fill_critical_section(report, verdict.critical)
     _fill_verdict(report, verdict)
-    _oracle_status(report, verdict, budget)
+    _fill_oracle_section(report, verdict.search)
     return EXIT_OK
 
 
 def _cmd_decompose(args, report: dict) -> int:
-    field = parse_field(args.field)
-    f = parse_expression(args.expr, field)
-    if f.is_zero or f.is_constant or f.degree < 2:
-        raise PreconditionError("decomposition needs degree >= 2")
-    report["field"] = repr(field)
-    report["degree"] = f.degree
-    report["ord_infinity"] = f.ord_infinity
-    cap = args.oracle_budget if args.oracle_budget else OracleBudget().candidate_cap
-    budget = OracleBudget(candidate_cap=cap)
-    if f.is_polynomial:
-        search = poly_decompose(f.numerator, budget)
-        witness = None
-        if search.witness:
-            g, h = search.witness
-            witness = (RatFun(g), RatFun(h))
-    elif isinstance(field, PrimeField):
-        search = rat_decompose_all_k(f, budget)
-        witness = search.witness
-    else:
-        search = rat_decompose_via_reduction(f, budget)
-        witness = search.witness
-    if witness:
-        g, h = witness
-        report["verdict"]["kind"] = "CompositeWitness"
-        report["verdict"]["witness_g"] = format_ratfun(g)
-        report["verdict"]["witness_h"] = format_ratfun(h)
-        report["verdict"]["description"] = CompositeWitness(g, h).describe()
-    _oracle_status(report, None, budget, search)
+    f = _read_function(args, report, "decomposition needs degree >= 2", 2)
+    budget = OracleBudget(candidate_cap=args.oracle_budget) if args.oracle_budget \
+        else OracleBudget()
+    search = decompose(f, budget)
+    if search.witness:
+        _fill_verdict(report, CompositeWitness(*search.witness))
+    _fill_oracle_section(report, search)
     return EXIT_OK
 
 
@@ -202,16 +175,10 @@ def _cmd_fq(args, report: dict) -> int:
 
 
 def _cmd_resultant(args, report: dict) -> int:
-    field = parse_field(args.field)
-    f = parse_expression(args.expr, field)
-    if f.is_zero or f.is_constant:
-        raise PreconditionError("resultant needs a nonconstant function")
-    report["field"] = repr(field)
-    report["degree"] = f.degree
-    report["ord_infinity"] = f.ord_infinity
+    f = _read_function(args, report, "resultant needs a nonconstant function")
     if f.is_polynomial and f.degree < 2:
         raise PreconditionError("disc-in-t needs degree >= 2")
-    _fill_critical_section(report, f)
+    _fill_critical_section(report, critical_report(f))
     return EXIT_OK
 
 

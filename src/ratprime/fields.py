@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FieldMismatchError, PreconditionError
+from .numutil import is_prime
 
 
 class Fp:
@@ -64,10 +65,8 @@ class Fp:
         return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            if self.value == 0:
-                raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-            return Fp(pow(self.value, n, self.p), self.p)
+        if n < 0 and self.value == 0:
+            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
         return Fp(pow(self.value, n, self.p), self.p)
 
     def __neg__(self):
@@ -88,22 +87,6 @@ class Fp:
 
     def __repr__(self):
         return str(self.value)
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for desk-scale inputs."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 class Field:

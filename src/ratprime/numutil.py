@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .fields import is_prime
 
 __all__ = ["is_prime", "smallest_prime_factor", "prime_factors",
            "greatest_proper_divisor", "proper_composite_divisors"]
@@ -20,6 +19,11 @@ def smallest_prime_factor(n: int) -> int:
             return d
         d += 2
     return n
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test; fine for desk-scale inputs."""
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def prime_factors(n: int) -> list[int]:

@@ -14,15 +14,16 @@ witness over Q is therefore never claimed to be exhaustive.
 
 "Budget exhausted" and "exhaustively absent" are distinct outcomes; the
 exhaustive flag is what lets the primality soundness tests treat an absent
-witness as a proof.
+witness as a proof.  `decompose` picks the right search for a given f.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
+from ._intpoly import trim
 from .errors import PreconditionError
 from .fields import PrimeField, QQ
 from .numutil import is_prime, proper_composite_divisors
@@ -141,12 +142,6 @@ def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
 # mod-p machinery on raw int lists (ascending coefficients)
 
 
-def _mp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _mp_mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
@@ -159,8 +154,8 @@ def _mp_mul(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _mp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    a = _mp_trim(list(a))
-    b = _mp_trim(list(b))
+    a = trim(list(a))
+    b = trim(list(b))
     while b:
         inv = pow(b[-1], -1, p)
         while len(a) >= len(b):
@@ -168,7 +163,7 @@ def _mp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
             off = len(a) - len(b)
             for i in range(len(b)):
                 a[off + i] = (a[off + i] - c * b[i]) % p
-            _mp_trim(a)
+            trim(a)
             if not a:
                 break
         a, b = b, a
@@ -518,3 +513,20 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
                 # may reduce the true witness non-spuriously
                 continue
     return SearchResult(None, False, tried)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+
+
+def decompose(f: RatFun, budget: OracleBudget) -> SearchResult:
+    """The search that fits f: polynomial search, rational search over F_p,
+    or reduce-and-lift over Q.  A witness is always a (RatFun, RatFun) pair."""
+    if f.is_polynomial:
+        search = poly_decompose(f.numerator, budget)
+        if search.witness:
+            search = replace(search, witness=tuple(RatFun(w) for w in search.witness))
+        return search
+    if f.field.char:
+        return rat_decompose_all_k(f, budget)
+    return rat_decompose_via_reduction(f, budget)

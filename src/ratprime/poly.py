@@ -9,6 +9,7 @@ comparisons total in the order-at-infinity bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import _intpoly
 from .errors import FieldMismatchError, PreconditionError
@@ -194,14 +195,8 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
 def _fraction_coeffs_to_ints(f: Poly) -> list[int]:
     den = 1
     for c in f.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = lcm(den, c.denominator)
     return [int(c * den) for c in f.coeffs]
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

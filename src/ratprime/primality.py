@@ -13,21 +13,33 @@ only, and the two must never be conflated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from typing import ClassVar
 
 from .errors import DegenerateDerivativeError, PreconditionError
 from .numutil import greatest_proper_divisor, is_prime, prime_factors
-from .oracle import OracleBudget, poly_decompose, rat_decompose_all_k, rat_decompose_via_reduction
+from .oracle import OracleBudget, SearchResult, decompose
 from .poly import Poly
 from .ratfun import RatFun
-from .resultants import CriticalValueReport, critical_values, disc_in_t, rat_resultant_in_t
+from .resultants import (CriticalValueReport, critical_report, critical_values, disc_in_t,
+                         rat_resultant_in_t)
 from .squarefree import squarefree_decompose
 
 SCOPE_BASE = "base-field"
 SCOPE_CLOSURE = "closure"
 
 
+@dataclass(frozen=True)
 class Verdict:
-    scope: str | None = None
+    """Outcome of an analysis.  Beyond its own fields, every verdict carries
+    the notes, the critical-value report and the oracle search that produced
+    it; none of the three takes part in equality."""
+
+    scope: ClassVar[str | None] = None
+    notes: tuple[str, ...] = dc_field(default=(), compare=False, kw_only=True)
+    critical: CriticalValueReport | None = dc_field(default=None, compare=False,
+                                                    repr=False, kw_only=True)
+    search: SearchResult | None = dc_field(default=None, compare=False,
+                                           repr=False, kw_only=True)
 
     @property
     def kind(self) -> str:
@@ -41,7 +53,6 @@ class Verdict:
 @dataclass(frozen=True)
 class PrimeByDegree(Verdict):
     degree: int
-    notes: tuple[str, ...] = dc_field(default=(), compare=False)
     scope = SCOPE_CLOSURE
 
     def describe(self) -> str:
@@ -53,7 +64,6 @@ class PrimeByOrdInfinity(Verdict):
     prime: int
     d: int
     ord_infinity: int
-    notes: tuple[str, ...] = dc_field(default=(), compare=False)
     scope = SCOPE_CLOSURE
 
     def describe(self) -> str:
@@ -65,7 +75,6 @@ class PrimeByOrdInfinity(Verdict):
 class PrimeByValency(Verdict):
     valency: int
     d: int
-    notes: tuple[str, ...] = dc_field(default=(), compare=False)
     scope = SCOPE_CLOSURE
 
     def describe(self) -> str:
@@ -77,7 +86,6 @@ class PrimeByValency(Verdict):
 class PrimeBySimpleCriticalValues(Verdict):
     count: int
     d: int
-    notes: tuple[str, ...] = dc_field(default=(), compare=False)
     scope = SCOPE_BASE
 
     def describe(self) -> str:
@@ -89,7 +97,6 @@ class PrimeBySimpleCriticalValues(Verdict):
 class PrimeByNonzeroSimpleCriticalValues(Verdict):
     count: int
     d: int
-    notes: tuple[str, ...] = dc_field(default=(), compare=False)
     scope = SCOPE_CLOSURE
 
     def describe(self) -> str:
@@ -101,7 +108,6 @@ class PrimeByNonzeroSimpleCriticalValues(Verdict):
 class CompositeWitness(Verdict):
     g: RatFun
     h: RatFun
-    notes: tuple[str, ...] = dc_field(default=(), compare=False)
 
     def describe(self) -> str:
         return (f"composite: witnessed by factors of degrees "
@@ -110,8 +116,6 @@ class CompositeWitness(Verdict):
 
 @dataclass(frozen=True)
 class Unknown(Verdict):
-    notes: tuple[str, ...] = dc_field(default_factory=tuple)
-
     def describe(self) -> str:
         return "no certificate applies and no witness was found"
 
@@ -197,9 +201,11 @@ def nonzero_simple_critical_certificate(f: RatFun,
     return None
 
 
-def _run_certificates(f: RatFun) -> tuple[list[Verdict], list[str]]:
-    """Evaluate every certificate in the fixed order; collect all that fire
-    and one note per failed or degenerate hypothesis."""
+def _run_certificates(f: RatFun) -> tuple[list[Verdict], list[str],
+                                            CriticalValueReport | None]:
+    """Evaluate every certificate in the fixed order; collect all that fire,
+    one note per failed or degenerate hypothesis, and the critical-value
+    report they share."""
     deg = f.degree
     d = greatest_proper_divisor(deg)
     fired: list[Verdict] = []
@@ -215,7 +221,9 @@ def _run_certificates(f: RatFun) -> tuple[list[Verdict], list[str]]:
     record(ord_infinity_certificate(f),
            f"ord_infinity {f.ord_infinity} has no prime factor exceeding d = {d}")
 
-    report = None
+    # for polynomials Res_x(f - t, f') is a nonzero scalar multiple of
+    # D[f - t], so one report serves both critical-value certificates
+    report = critical_report(f)
     if f.is_polynomial:
         # the reduced form has a monic denominator, so it is exactly 1 here
         numerator = f.numerator
@@ -224,24 +232,19 @@ def _run_certificates(f: RatFun) -> tuple[list[Verdict], list[str]]:
                    "no point of prime valency exceeding d was certified")
         except DegenerateDerivativeError:
             failures.append("valency test degenerate: derivative vanishes identically")
-        try:
-            report = critical_values(disc_in_t(numerator))
+        if report is None:
+            failures.append("critical-value test degenerate: derivative vanishes identically")
+        else:
             record(simple_critical_certificate(numerator, report),
                    f"simple critical values {report.simple_count} < d = {d}")
-        except DegenerateDerivativeError:
-            failures.append("critical-value test degenerate: derivative vanishes identically")
-    try:
-        # for polynomials Res_x(f - t, f') is a nonzero scalar multiple of
-        # D[f - t], so the multiplicity report carries over unchanged
-        rat_report = report if report is not None \
-            else critical_values(rat_resultant_in_t(f))
-        record(nonzero_simple_critical_certificate(f, rat_report),
-               f"non-zero simple critical values "
-               f"{rat_report.nonzero_simple_count} < 2d = {2 * d}")
-    except DegenerateDerivativeError:
+    if report is None:
         failures.append("rational critical-value test degenerate: "
                         "derivative vanishes identically")
-    return fired, failures
+    else:
+        record(nonzero_simple_critical_certificate(f, report),
+               f"non-zero simple critical values "
+               f"{report.nonzero_simple_count} < 2d = {2 * d}")
+    return fired, failures, report
 
 
 def analyze(f: RatFun, budget: OracleBudget | None = None) -> Verdict:
@@ -251,36 +254,26 @@ def analyze(f: RatFun, budget: OracleBudget | None = None) -> Verdict:
     Pure in (f, budget).  When several certificates apply, the first in
     the fixed order is returned and every satisfied hypothesis appears in
     its notes; an Unknown's notes record each failed hypothesis instead.
+    The verdict carries the critical-value report (None when f' vanishes
+    identically) and, when the oracle ran, its SearchResult.
     """
     _require_analyzable(f)
-    fired, failures = _run_certificates(f)
+    fired, notes, critical = _run_certificates(f)
     if fired:
-        return replace(fired[0], notes=tuple(c.describe() for c in fired))
-
-    notes = list(failures)
-    if budget is None or budget.candidate_cap <= 0:
+        return replace(fired[0], notes=tuple(c.describe() for c in fired),
+                       critical=critical)
+    if budget is None:
         notes.append("oracle not invoked (no budget)")
-        return Unknown(tuple(notes))
+        return Unknown(notes=tuple(notes), critical=critical)
 
-    if f.is_polynomial:
-        search = poly_decompose(f.numerator, budget)
-        if search.witness:
-            g, h = search.witness
-            return CompositeWitness(RatFun(g), RatFun(h))
-        notes.append("polynomial oracle found no witness"
-                     + (" (search exhaustive)" if search.exhaustive else " (budget exhausted)"))
-    elif f.field.char:
-        search = rat_decompose_all_k(f, budget)
-        if search.witness:
-            g, h = search.witness
-            return CompositeWitness(g, h)
-        notes.append("rational oracle found no witness"
-                     + (" (search exhaustive)" if search.exhaustive else " (budget exhausted)"))
+    search = decompose(f, budget)
+    if search.witness:
+        return CompositeWitness(*search.witness, critical=critical, search=search)
+    if f.is_polynomial or f.field.char:
+        outcome = "search exhaustive" if search.exhaustive else "budget exhausted"
+        notes.append(f"{'polynomial' if f.is_polynomial else 'rational'} oracle "
+                     f"found no witness ({outcome})")
     else:
-        search = rat_decompose_via_reduction(f, budget)
-        if search.witness:
-            g, h = search.witness
-            return CompositeWitness(g, h)
         notes.append("reduction-and-lift oracle found no witness "
                      "(never exhaustive over Q)")
-    return Unknown(tuple(notes))
+    return Unknown(notes=tuple(notes), critical=critical, search=search)

@@ -62,16 +62,16 @@ def sylvester_matrix(f: Poly, g: Poly) -> list[list]:
     n, m = f.degree, g.degree
     if n + m == 0:
         raise PreconditionError("Sylvester matrix of two constants is empty")
-    size = n + m
-    zero = f.field.zero
-    fd = list(reversed(f.coeffs))
-    gd = list(reversed(g.coeffs))
-    rows = []
-    for i in range(m):
-        rows.append([zero] * i + fd + [zero] * (size - i - n - 1))
-    for i in range(n):
-        rows.append([zero] * i + gd + [zero] * (size - i - m - 1))
-    return rows
+    return _sylvester_rows(list(reversed(f.coeffs)), list(reversed(g.coeffs)),
+                           f.field.zero)
+
+
+def _sylvester_rows(fd: list, gd: list, zero) -> list[list]:
+    """Sylvester layout of descending coefficient lists: deg g shifted copies
+    of fd, then deg f shifted copies of gd."""
+    n, m = len(fd) - 1, len(gd) - 1
+    return ([[zero] * i + fd + [zero] * (m - 1 - i) for i in range(m)]
+            + [[zero] * i + gd + [zero] * (n - 1 - i) for i in range(n)])
 
 
 def sylvester_resultant(f: Poly, g: Poly):
@@ -162,18 +162,10 @@ class XTPoly:
 def _tpoly_sylvester(xt: XTPoly, c: Poly) -> Poly:
     """Res_x over K[t] by Bareiss with polynomial entries (slow, always works)."""
     field = c.field
-    n, m = xt.x_degree, c.degree
-    size = n + m
     zero = Poly.zero(field)
-    one = Poly.one(field)
-    fd = list(reversed(xt.coeffs))
-    gd = [Poly.constant(field, cc) for cc in reversed(c.coeffs)]
-    rows = []
-    for i in range(m):
-        rows.append([zero] * i + fd + [zero] * (size - i - n - 1))
-    for i in range(n):
-        rows.append([zero] * i + gd + [zero] * (size - i - m - 1))
-    return bareiss_determinant(rows, zero, one, poly_exact_div)
+    rows = _sylvester_rows(list(reversed(xt.coeffs)),
+                           [Poly.constant(field, cc) for cc in reversed(c.coeffs)], zero)
+    return bareiss_determinant(rows, zero, Poly.one(field), poly_exact_div)
 
 
 def interpolate(field, xs, ys) -> Poly:
@@ -313,6 +305,16 @@ def critical_values(disc: Poly) -> CriticalValueReport:
         nonzero_simple_count=simple - (1 if zero_is_simple else 0),
         zero_multiplicity=zero_mult,
     )
+
+
+def critical_report(f: RatFun) -> CriticalValueReport | None:
+    """Critical values of f, read off D[f - t] for a polynomial and off
+    Res_x(f - t, f') otherwise; None when f' vanishes identically."""
+    try:
+        disc = disc_in_t(f.numerator) if f.is_polynomial else rat_resultant_in_t(f)
+    except DegenerateDerivativeError:
+        return None
+    return critical_values(disc)
 
 
 # ---------------------------------------------------------------------------

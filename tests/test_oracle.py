@@ -1,7 +1,7 @@
 import pytest
 
 from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
-                      RatFun, h_adic_expansion, parse_expression, poly_compose,
+                      RatFun, decompose, h_adic_expansion, parse_expression, poly_compose,
                       poly_decompose, rat_compose, rat_decompose,
                       rat_decompose_all_k, rat_decompose_via_reduction,
                       right_factor_quotient, solve_left_factor)
@@ -213,3 +213,14 @@ def test_solve_left_factor_unique():
     assert g == RatFun(qpoly(0, 0, 0, 1, 1))
     # a non-factor gives nothing
     assert solve_left_factor(f, RatFun(qpoly(2, 0, 0, 0, 1), qpoly(1, 0, 1))) is None
+
+
+def test_decompose_returns_ratfun_witnesses_on_every_route():
+    budget = OracleBudget()
+    for source, field in (("x^4+x^2", QQ), ("x^9", PrimeField(3)),
+                          ("(x^2+1)^2/x^2", PrimeField(3)), ("(x^2+1)^2/x^2", QQ)):
+        f = parse_expression(source, field)
+        search = decompose(f, budget)
+        g, h = search.witness
+        assert isinstance(g, RatFun) and isinstance(h, RatFun)
+        assert rat_compose(g, h) == f

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -7,6 +8,7 @@ import pytest
 
 from ratprime import (ParseError, Poly, PrimeField, QQ, RatFun, format_poly,
                       format_ratfun, parse_expression)
+from ratprime import resultants
 from ratprime.cli import main
 from conftest import qpoly, random_ratfun
 
@@ -159,6 +161,59 @@ def test_cli_analyze_with_oracle(capsys, schema):
     assert report["verdict"]["witness_g"] == "x^2+x"
     assert report["verdict"]["witness_h"] == "x^2"
     assert report["oracle"]["status"] == "witness"
+    assert report["oracle"]["exhaustive"] is True
+    assert report["oracle"]["candidates"] >= 1
+
+
+def test_cli_analyze_reports_budget_exhaustion(capsys, schema):
+    # composite of degree 8 over F_7 that no certificate covers; a cap of 5
+    # candidates is too small for either right-factor degree
+    code, report = _run_json(capsys, "analyze", "--field", "F7", "--oracle-budget", "5",
+                             "(x^4+x+3)^2+(x^4+x+3)")
+    assert code == 0
+    jsonschema.validate(report, schema)
+    assert report["verdict"]["kind"] == "Unknown"
+    assert report["oracle"]["status"] == "exhausted"
+    assert report["oracle"]["exhaustive"] is False
+
+
+@pytest.fixture
+def critical_calls(monkeypatch):
+    """Count D[f - t] and Res_x(f - t, f') computations wherever a ratprime
+    module binds the two functions."""
+    calls = []
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "ratprime"]
+    for name in ("disc_in_t", "rat_resultant_in_t"):
+        original = getattr(resultants, name)
+
+        def counted(*args, _original=original):
+            calls.append(_original)
+            return _original(*args)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("expr", ["x^6+x^2+x", "(x+1)^4/x^3"])
+def test_cli_analyze_computes_critical_resultant_once(capsys, critical_calls, expr):
+    code, report = _run_json(capsys, "analyze", expr)
+    assert code == 0
+    assert report["critical_values"]["disc_coefficients"] is not None
+    assert len(critical_calls) == 1
+
+
+@pytest.mark.parametrize("field, expr", [("Q", "x^4+x^2"),
+                                         ("F3", "(x^2+1)^2/x^2"),
+                                         ("F7", "(x^4+x+3)^2+(x^4+x+3)")])
+def test_cli_decompose_and_analyze_share_the_oracle(capsys, field, expr):
+    argv = ("--field", field, "--oracle-budget", "5", expr)
+    _, analyzed = _run_json(capsys, "analyze", *argv)
+    _, decomposed = _run_json(capsys, "decompose", *argv)
+    assert analyzed["oracle"] == decomposed["oracle"]
+    for key in ("witness_g", "witness_h"):
+        assert analyzed["verdict"][key] == decomposed["verdict"][key]
 
 
 def test_cli_fq_zero_divisor(capsys, schema):

@@ -6,7 +6,7 @@ from ratprime import (CompositeWitness, OracleBudget, Poly, PreconditionError,
                       PrimeByDegree, PrimeByNonzeroSimpleCriticalValues,
                       PrimeByOrdInfinity, PrimeBySimpleCriticalValues,
                       PrimeByValency, PrimeField, QQ, RatFun, Unknown, analyze,
-                      degree_certificate, greatest_proper_divisor,
+                      degree_certificate, disc_in_t, greatest_proper_divisor,
                       nonzero_simple_critical_certificate,
                       ord_infinity_certificate, parse_expression, rat_compose,
                       simple_critical_certificate, valency_certificate)
@@ -196,3 +196,16 @@ def test_analyze_degenerate_derivative_notes():
     w = analyze(f, OracleBudget())
     assert isinstance(w, CompositeWitness)
     assert rat_compose(w.g, w.h) == f
+
+
+def test_analyze_carries_its_critical_report_and_search():
+    f = RatFun(qpoly(0, 0, 1, 0, 1))  # x^4 + x^2 = (x^2 + x) o x^2
+    v = analyze(f, OracleBudget())
+    assert v.critical.disc_t == disc_in_t(f.numerator)
+    assert v.search.witness == (v.g, v.h) and v.search.exhaustive
+    # neither takes part in equality
+    assert v == CompositeWitness(v.g, v.h)
+    certified = analyze(RatFun(qpoly(0, 1, 0, 0, 1)))
+    assert certified.critical.simple_count == 3 and certified.search is None
+    degenerate = analyze(RatFun(Poly(PrimeField(3), [0] * 9 + [1])))
+    assert degenerate.critical is None and degenerate.search is None

@@ -1,4 +1,5 @@
-"""Primitive-PRS routines on integer coefficient lists (ascending powers).
+"""Routines on integer coefficient lists (ascending powers): primitive PRS
+over Z, and the F_p kernel on trimmed residue lists (`mod_*`).
 
 Rational-coefficient gcds and resultants route through here after clearing
 denominators: pseudo-division keeps everything in Z and stripping contents
@@ -102,3 +103,57 @@ def prs_resultant(f: list[int], g: list[int]) -> Fraction:
         if (df * dg) % 2:
             sign = -sign
         f, g = g, rp
+
+
+def mod_mul(a: list, b: list, p: int) -> list:
+    """Product mod p; p = 0 leaves the entries exact (ints or Fractions)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out] if p else out
+
+
+def mod_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """f = q*g + r mod p with deg r < deg g (g nonzero); the remainder is
+    reduced once at the end, not at every step, which pays at word-size p."""
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    r = list(f)
+    q = [0] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg] * inv % p
+        q[k] = c
+        if c:
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return q, trim([c % p for c in r[:dg]])
+
+
+def mod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod p, inputs not both zero.  Remainders are reduced in place
+    without quotients: the oracle runs this on every candidate right factor,
+    and going through `mod_divmod` made that about a third slower."""
+    a, b = list(a), list(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a.pop() * inv % p
+            off = len(a) - db
+            for i in range(db):
+                a[off + i] = (a[off + i] - c * b[i]) % p
+            trim(a)
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def mod_eval(a: list[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc

@@ -93,6 +93,7 @@ class Field:
     """Descriptor interface: element construction plus a characteristic."""
 
     char: int
+    element: type
 
     def __call__(self, value):
         raise NotImplementedError
@@ -102,6 +103,7 @@ class RationalField(Field):
     """The field Q, with Fraction elements."""
 
     char = 0
+    element = Fraction
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -123,6 +125,8 @@ class RationalField(Field):
 class PrimeField(Field):
     """The field F_p for prime p."""
 
+    element = Fp
+
     def __init__(self, p: int):
         if not is_prime(p):
             raise PreconditionError(f"{p} is not prime")
@@ -132,6 +136,8 @@ class PrimeField(Field):
         self.one = Fp(1, p)
 
     def __call__(self, value) -> Fp:
+        if isinstance(value, int):
+            return Fp(value, self.p)
         if isinstance(value, Fp):
             if value.p != self.p:
                 raise FieldMismatchError(f"F_{self.p} vs F_{value.p}")

@@ -16,7 +16,8 @@ from math import factorial
 
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField
-from .poly import Poly, poly_compose, poly_divmod
+from ._intpoly import mod_eval
+from .poly import Poly, _residues, poly_compose
 
 
 class FqClass(Enum):
@@ -55,9 +56,17 @@ def _same_p(a: FqFunction, b: FqFunction) -> None:
         raise FieldMismatchError(f"F_{a.p} vs F_{b.p}")
 
 
-def _modulus(field: PrimeField) -> Poly:
-    p = field.p
-    return Poly(field, [0, -1] + [0] * (p - 2) + [1])  # x^p - x
+def _fold(f: Poly) -> Poly:
+    """The representative of f mod x^p - x, of degree < p: exponents fold by
+    x^e = x^((e - 1) mod (p - 1) + 1) for e >= 1."""
+    p = f.field.p
+    if f.degree < p:
+        return f
+    values = _residues(f)
+    folded = values[:p]
+    for e in range(p, len(values)):
+        folded[(e - 1) % (p - 1) + 1] += values[e]
+    return Poly(f.field, folded)
 
 
 def reduce_ring(f: Poly) -> FqFunction:
@@ -65,11 +74,10 @@ def reduce_ring(f: Poly) -> FqFunction:
     reduced representative of degree < q."""
     if not isinstance(f.field, PrimeField):
         raise PreconditionError("the function ring is defined over a prime field")
-    field = f.field
-    p = field.p
-    table = tuple(f(field(a)).value for a in range(p))
-    reduced = poly_divmod(f, _modulus(field))[1] if f.degree >= p else f
-    return FqFunction(p=p, table=table, reduced=reduced)
+    p = f.field.p
+    values = _residues(f)
+    table = tuple(mod_eval(values, a, p) for a in range(p))
+    return FqFunction(p=p, table=table, reduced=_fold(f))
 
 
 def from_table(p: int, values) -> FqFunction:
@@ -99,12 +107,8 @@ def identity_function(p: int) -> FqFunction:
 def ring_compose(alpha: FqFunction, beta: FqFunction) -> FqFunction:
     """alpha o beta as functions; the representative is re-reduced."""
     _same_p(alpha, beta)
-    field = PrimeField(alpha.p)
-    table = tuple(alpha.table[b] for b in beta.table)
-    composed = poly_compose(alpha.reduced, beta.reduced)
-    reduced = poly_divmod(composed, _modulus(field))[1]
-    result = FqFunction(p=alpha.p, table=table, reduced=reduced)
-    return result
+    return FqFunction(p=alpha.p, table=tuple(alpha.table[b] for b in beta.table),
+                      reduced=_fold(poly_compose(alpha.reduced, beta.reduced)))
 
 
 def is_permutation(phi: FqFunction) -> bool:

@@ -7,7 +7,8 @@ normalized candidate per degree comes from a triangular coefficient solve.
 
 Rational functions over F_p: right factors are enumerated up to degree-1
 units as 2-dimensional coefficient subspaces in reduced echelon form, and
-the left factor, once h is fixed, is the kernel of an exact linear system.
+the left factor, once h is fixed, is the kernel of an exact linear system;
+both run on int residues (`_intpoly`), and the same solver serves Q.
 Over Q the same search runs on a good-reduction image mod p and candidate
 witnesses are lifted symmetrically and re-verified exactly; absence of a
 witness over Q is therefore never claimed to be exhaustive.
@@ -23,11 +24,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from ._intpoly import trim
-from .errors import PreconditionError
+from ._intpoly import mod_eval, mod_gcd, mod_mul
+from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField, QQ
 from .numutil import is_prime, proper_composite_divisors
-from .poly import Poly, poly_compose, poly_divmod
+from .poly import Poly, _residues, poly_compose, poly_divmod
 from .ratfun import RatFun, rat_compose
 
 
@@ -139,42 +140,8 @@ def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# mod-p machinery on raw int lists (ascending coefficients)
-
-
-def _mp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _mp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    a = trim(list(a))
-    b = trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = (a[-1] * inv) % p
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] = (a[off + i] - c * b[i]) % p
-            trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return len(a) - 1
-
-
-def _mp_eval(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
+# Rational decomposition over F_p, on int residues (ascending coefficients);
+# the kernel and the left-factor solve also take Fractions (p = 0) for Q
 
 
 def _projective_table(num: list[int], den: list[int], p: int) -> list[int]:
@@ -182,9 +149,9 @@ def _projective_table(num: list[int], den: list[int], p: int) -> list[int]:
     infinity as a value.  Assumes gcd(num, den) = 1."""
     table = []
     for a in range(p):
-        bottom = _mp_eval(den, a, p)
+        bottom = mod_eval(den, a, p)
         if bottom:
-            table.append((_mp_eval(num, a, p) * pow(bottom, -1, p)) % p)
+            table.append((mod_eval(num, a, p) * pow(bottom, -1, p)) % p)
         else:
             table.append(p)
     dn, dd = len(num) - 1, len(den) - 1
@@ -202,9 +169,9 @@ def _fibers_respected(u: list[int], v: list[int], f_table: list[int], p: int) ->
     already be identified by f (as maps on the projective line)."""
     groups: dict[int, int] = {}
     for a in range(p):
-        bottom = _mp_eval(v, a, p)
+        bottom = mod_eval(v, a, p)
         if bottom:
-            hv = (_mp_eval(u, a, p) * pow(bottom, -1, p)) % p
+            hv = (mod_eval(u, a, p) * pow(bottom, -1, p)) % p
         else:
             hv = p
         fv = f_table[a]
@@ -217,9 +184,10 @@ def _fibers_respected(u: list[int], v: list[int], f_table: list[int], p: int) ->
     return groups.get(p, f_table[p]) == f_table[p]
 
 
-def _mp_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Kernel basis of a matrix over F_p (rows of length ncols)."""
-    mat = [r[:] for r in rows if any(r)]
+def _kernel(rows: list[list], ncols: int, p: int) -> list[list]:
+    """Kernel basis of a matrix (rows of length ncols) over F_p with int
+    residue entries, or over Q with Fraction entries when p = 0."""
+    mat = [list(r) for r in rows if any(r)]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -231,13 +199,16 @@ def _mp_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
+        inv = pow(mat[r][c], -1, p) if p else 1 / Fraction(mat[r][c])
+        mat[r] = [x * inv % p for x in mat[r]] if p else [x * inv for x in mat[r]]
+        row_r = mat[r]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 factor = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [(x - factor * y) % p for x, y in zip(mat[i], row_r)]
+                if p:
+                    mat[i] = [(x - factor * y) % p for x, y in zip(mat[i], row_r)]
+                else:
+                    mat[i] = [x - factor * y for x, y in zip(mat[i], row_r)]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -248,7 +219,7 @@ def _mp_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
         vec = [0] * ncols
         vec[fc] = 1
         for i, pc in enumerate(pivots):
-            vec[pc] = (-mat[i][fc]) % p
+            vec[pc] = -mat[i][fc] % p if p else -mat[i][fc]
         basis.append(vec)
     return basis
 
@@ -274,28 +245,30 @@ def _canonical_right_factors(p: int, k: int):
                 yield u, v
 
 
-def _solve_left_factor_modp(f1: list[int], f2: list[int], u: list[int],
-                            v: list[int], m: int, p: int):
+def _left_factor(f1: list, f2: list, u: list, v: list, m: int, p: int):
     """Solve f1 * Qh - f2 * Ph = 0 for the coefficients of g = P/Q, where
-    Ph, Qh homogenize P, Q with (u, v).  Returns (P, Q) int lists or None."""
-    upow = [[1]]
-    vpow = [[1]]
+    Ph, Qh homogenize P, Q with (u, v), over F_p on int residues or over Q
+    on Fractions (p = 0).  Returns (P, Q) lists or None."""
+    upow, vpow = [[1]], [[1]]
     for _ in range(m):
-        upow.append(_mp_mul(upow[-1], u, p))
-        vpow.append(_mp_mul(vpow[-1], v, p))
-    cols = []
-    for j in range(m + 1):
-        cols.append(_mp_mul(f1, _mp_mul(upow[j], vpow[m - j], p), p))
-    for i in range(m + 1):
-        cols.append([-c % p for c in _mp_mul(f2, _mp_mul(upow[i], vpow[m - i], p), p)])
+        upow.append(mod_mul(upow[-1], u, p))
+        vpow.append(mod_mul(vpow[-1], v, p))
+    forms = [mod_mul(upow[j], vpow[m - j], p) for j in range(m + 1)]
+    minus_f2 = [-c for c in f2]
+    cols = [mod_mul(f1, w, p) for w in forms] + [mod_mul(minus_f2, w, p) for w in forms]
     height = max(len(c) for c in cols)
     rows = [[col[r] if r < len(col) else 0 for col in cols] for r in range(height)]
-    for vec in _mp_kernel(rows, 2 * (m + 1), p):
+    for vec in _kernel(rows, 2 * (m + 1), p):
         q = vec[:m + 1]
-        pp = vec[m + 1:]
         if any(q):
-            return pp, q
+            return vec[m + 1:], q
     return None
+
+
+def _verified(f: RatFun, h: RatFun, pp: list, q: list) -> RatFun | None:
+    """g = pp/q when g o h equals f exactly, else None."""
+    g = RatFun(Poly(f.field, pp), Poly(f.field, q))
+    return g if rat_compose(g, h) == f else None
 
 
 def _search_right_factors(f: RatFun, k: int, budget: OracleBudget,
@@ -307,8 +280,8 @@ def _search_right_factors(f: RatFun, k: int, budget: OracleBudget,
     p = field.char
     deg = f.degree
     m = deg // k
-    f1 = [c.value for c in f.numerator.coeffs]
-    f2 = [c.value for c in f.denominator.coeffs]
+    f1 = _residues(f.numerator)
+    f2 = _residues(f.denominator)
     f_table = _projective_table(f1, f2, p)
     found = []
     tried = 0
@@ -316,19 +289,16 @@ def _search_right_factors(f: RatFun, k: int, budget: OracleBudget,
         if tried >= budget.candidate_cap:
             return found, tried, False
         tried += 1
-        if _mp_gcd_degree(u, v, p) > 0:
+        if len(mod_gcd(u, v, p)) > 1:
             continue
         if not _fibers_respected(u, v, f_table, p):
             continue
-        sol = _solve_left_factor_modp(f1, f2, u, v, m, p)
+        sol = _left_factor(f1, f2, u, v, m, p)
         if sol is None:
             continue
-        pp, q = sol
-        g = RatFun(Poly(field, pp), Poly(field, q))
         h = RatFun(Poly(field, u), Poly(field, v))
-        if h.degree != k or g.is_constant or g.degree < 2:
-            continue
-        if rat_compose(g, h) == f:
+        g = _verified(f, h, *sol)
+        if g is not None:
             found.append((g, h))
             if len(found) >= want:
                 return found, tried, False
@@ -381,8 +351,8 @@ def _reduce_mod(f: RatFun, p: int) -> RatFun | None:
     divisible by p, degree drop, or lost coprimality)."""
     field = PrimeField(p)
     try:
-        num = Poly(field, [field(c) for c in f.numerator.coeffs])
-        den = Poly(field, [field(c) for c in f.denominator.coeffs])
+        num = Poly(field, f.numerator.coeffs)
+        den = Poly(field, f.denominator.coeffs)
     except ZeroDivisionError:
         return None
     if num.degree != f.numerator.degree or den.degree != f.denominator.degree:
@@ -398,74 +368,20 @@ def _symmetric_lift(a: list[int], p: int) -> list[Fraction]:
     return [Fraction(c if c <= p // 2 else c - p) for c in a]
 
 
-def _field_kernel(rows, ncols, zero, one):
-    """Kernel basis over an arbitrary exact field (used for the Q lift)."""
-    mat = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = one / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
-
-
 def solve_left_factor(f: RatFun, h: RatFun) -> RatFun | None:
     """Given a candidate right factor h, solve the exact linear system for g
     with f = g o h; the left factor is unique when it exists."""
+    if f.field != h.field:
+        raise FieldMismatchError(f"{f.field!r} vs {h.field!r}")
     deg = f.degree
     k = h.degree
     if deg % k:
         return None
-    m = deg // k
-    field = f.field
-    u, v = h.numerator, h.denominator
-    upow = [Poly.one(field)]
-    vpow = [Poly.one(field)]
-    for _ in range(m):
-        upow.append(upow[-1] * u)
-        vpow.append(vpow[-1] * v)
-    cols = []
-    for j in range(m + 1):
-        cols.append((f.numerator * upow[j] * vpow[m - j]).coeffs)
-    for i in range(m + 1):
-        cols.append((-(f.denominator * upow[i] * vpow[m - i])).coeffs)
-    height = max(len(c) for c in cols)
-    zero = field.zero
-    rows = [[col[r] if r < len(col) else zero for col in cols]
-            for r in range(height)]
-    for vec in _field_kernel(rows, 2 * (m + 1), zero, field.one):
-        q = vec[:m + 1]
-        pp = vec[m + 1:]
-        if any(q):
-            g = RatFun(Poly(field, pp), Poly(field, q))
-            if not g.is_zero and not g.is_constant and rat_compose(g, h) == f:
-                return g
-    return None
+    p = f.field.char
+    f1, f2, u, v = (_residues(a) if p else list(a.coeffs) for a in
+                    (f.numerator, f.denominator, h.numerator, h.denominator))
+    sol = _left_factor(f1, f2, u, v, deg // k, p)
+    return None if sol is None else _verified(f, h, *sol)
 
 
 def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult:
@@ -498,20 +414,18 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
             found, used, _ = _search_right_factors(image, k, slice_budget, want=1)
             tried += used
             for _, h_bar in found:
-                u = Poly(QQ, _symmetric_lift([c.value for c in h_bar.numerator.coeffs], p))
-                v = Poly(QQ, _symmetric_lift([c.value for c in h_bar.denominator.coeffs], p))
+                u = Poly(QQ, _symmetric_lift(_residues(h_bar.numerator), p))
+                v = Poly(QQ, _symmetric_lift(_residues(h_bar.denominator), p))
                 if v.is_zero:
                     continue
                 h = RatFun(u, v)
                 if h.is_zero or h.is_constant or h.degree != k:
                     continue
                 g = solve_left_factor(f, h)
-                if g is not None and g.degree >= 2:
+                if g is not None:
                     return SearchResult((g, h), True, tried)
-            if found:
-                # the mod-p witnesses exist but none lifted; another prime
-                # may reduce the true witness non-spuriously
-                continue
+            # mod-p witnesses that did not lift go on to the next prime,
+            # which may reduce the true witness non-spuriously
     return SearchResult(None, False, tried)
 
 

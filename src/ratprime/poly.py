@@ -22,7 +22,8 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        cs = [field(c) if isinstance(c, int) else c for c in coeffs]
+        element = field.element
+        cs = [c if isinstance(c, element) else field(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
@@ -97,6 +98,9 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
+        if self.field.char:
+            return Poly(self.field, _intpoly.mod_mul(_residues(self), _residues(other),
+                                                     self.field.char))
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -164,6 +168,11 @@ def _same_field(f: Poly, g: Poly) -> None:
         raise FieldMismatchError(f"{f.field!r} vs {g.field!r}")
 
 
+def _residues(f: Poly) -> list[int]:
+    """The coefficients of a polynomial over F_p as ints in [0, p)."""
+    return [c.value for c in f.coeffs]
+
+
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with f = q*g + r and deg r < deg g (or r = 0)."""
     _same_field(f, g)
@@ -172,6 +181,9 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if f.degree < g.degree:
         return Poly.zero(f.field), f
     field = f.field
+    if field.char:
+        q, r = _intpoly.mod_divmod(_residues(f), _residues(g), field.char)
+        return Poly(field, q), Poly(field, r)
     dg = g.degree
     inv_lead = field.one / g.lc
     rem = list(f.coeffs)
@@ -200,23 +212,21 @@ def _fraction_coeffs_to_ints(f: Poly) -> list[int]:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd.  Over Q this clears denominators and runs a primitive-part
-    PRS in Z[x] to avoid the coefficient blowup of fraction Euclid."""
+    """Monic gcd.  Over F_p this is Euclid on residues; over Q it clears
+    denominators and runs a primitive-part PRS in Z[x] to avoid the
+    coefficient blowup of fraction Euclid."""
     _same_field(f, g)
     if f.is_zero and g.is_zero:
         raise PreconditionError("gcd of two zero polynomials")
+    p = f.field.char
+    if p:
+        return Poly(f.field, _intpoly.mod_gcd(_residues(f), _residues(g), p))
     if f.is_zero:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    if f.field.char == 0:
-        raw = _intpoly.prs_gcd(_fraction_coeffs_to_ints(f),
-                               _fraction_coeffs_to_ints(g))
-        return Poly(QQ, [Fraction(c) for c in raw]).monic()
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
+    raw = _intpoly.prs_gcd(_fraction_coeffs_to_ints(f), _fraction_coeffs_to_ints(g))
+    return Poly(QQ, [Fraction(c) for c in raw]).monic()
 
 
 def poly_compose(g: Poly, h: Poly) -> Poly:

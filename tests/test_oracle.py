@@ -5,6 +5,7 @@ from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
                       poly_decompose, rat_compose, rat_decompose,
                       rat_decompose_all_k, rat_decompose_via_reduction,
                       right_factor_quotient, solve_left_factor)
+from ratprime.errors import FieldMismatchError
 from conftest import fppoly, qpoly, random_poly
 
 
@@ -213,6 +214,14 @@ def test_solve_left_factor_unique():
     assert g == RatFun(qpoly(0, 0, 0, 1, 1))
     # a non-factor gives nothing
     assert solve_left_factor(f, RatFun(qpoly(2, 0, 0, 0, 1), qpoly(1, 0, 1))) is None
+    # over F_7, with a right factor that has a denominator
+    g = RatFun(fppoly(7, 3, 0, 1), fppoly(7, 1, 1))
+    h = RatFun(fppoly(7, 1, 0, 0, 1), fppoly(7, 2, 1))
+    f = rat_compose(g, h)
+    assert solve_left_factor(f, h) == g
+    assert solve_left_factor(f, RatFun(fppoly(7, 2, 0, 0, 1), fppoly(7, 2, 1))) is None
+    with pytest.raises(FieldMismatchError):
+        solve_left_factor(f, RatFun(qpoly(1, 0, 0, 1), qpoly(2, 1)))
 
 
 def test_decompose_returns_ratfun_witnesses_on_every_route():

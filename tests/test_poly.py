@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from ratprime import (NEG_INF, Poly, PreconditionError, PrimeField, QQ, RatFun,
                       poly_compose, poly_divmod, poly_gcd,
@@ -14,6 +16,14 @@ from conftest import fppoly, qpoly, random_poly
 
 def test_trailing_zeros_are_stripped():
     assert Poly(QQ, (1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
+
+
+def test_foreign_coefficients_are_converted():
+    # 1/2 is 3 in F_5; a denominator divisible by p has no image
+    f5 = PrimeField(5)
+    assert Poly(f5, [Fraction(1, 2), 1]) == Poly(f5, [3, 1])
+    with pytest.raises(ZeroDivisionError):
+        Poly(f5, [Fraction(1, 5), 1])
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -101,6 +111,66 @@ def test_gcd_symmetry_and_divisibility(rng):
             # any common divisor divides the gcd
             if not w.is_zero and w.degree >= 1:
                 assert poly_divmod(d, w.monic())[1].is_zero
+
+
+# ---------------------------------------------------------------------------
+# F_p product, division and gcd against sympy, over small and word-size p
+
+_X = sympy.Symbol("x")
+# how long one example takes depends on the host, not on the code under test
+_untimed = settings(deadline=None)
+
+
+@st.composite
+def _fp_pair(draw):
+    p = draw(st.sampled_from([2, 3, 7, 13, 1_000_003, 2**31 - 1]))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=9)
+    return p, draw(coeffs), draw(coeffs)
+
+
+def _to_sympy(p, coeffs):
+    return sympy.Poly(list(reversed(coeffs)) or [0], _X, modulus=p)
+
+
+def _from_sympy(p, poly):
+    return Poly(PrimeField(p), [int(c) for c in reversed(poly.all_coeffs())])
+
+
+@_untimed
+@given(_fp_pair())
+def test_fp_product_matches_sympy(case):
+    p, a, b = case
+    field = PrimeField(p)
+    assert Poly(field, a) * Poly(field, b) == _from_sympy(p, _to_sympy(p, a) * _to_sympy(p, b))
+
+
+@_untimed
+@given(_fp_pair())
+def test_fp_divmod_matches_sympy(case):
+    p, a, b = case
+    field = PrimeField(p)
+    f, g = Poly(field, a), Poly(field, b)
+    if g.is_zero:
+        return
+    q, r = poly_divmod(f, g)
+    assert q * g + r == f
+    assert r.is_zero or r.degree < g.degree
+    sq, sr = _to_sympy(p, a).div(_to_sympy(p, b))
+    assert (q, r) == (_from_sympy(p, sq), _from_sympy(p, sr))
+
+
+@_untimed
+@given(_fp_pair())
+def test_fp_gcd_matches_sympy(case):
+    p, a, b = case
+    field = PrimeField(p)
+    f, g = Poly(field, a), Poly(field, b)
+    if f.is_zero and g.is_zero:
+        return
+    d = poly_gcd(f, g)
+    assert d.lc == field.one
+    assert poly_divmod(f, d)[1].is_zero and poly_divmod(g, d)[1].is_zero
+    assert d == _from_sympy(p, _to_sympy(p, a).gcd(_to_sympy(p, b))).monic()
 
 
 # ---------------------------------------------------------------------------

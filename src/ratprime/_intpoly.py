@@ -1,5 +1,7 @@
 """Routines on integer coefficient lists (ascending powers): primitive PRS
-over Z, and the F_p kernel on trimmed residue lists (`mod_*`).
+over Z, and the polynomial kernel for both fields (`mod_*`) on trimmed
+coefficient lists, where p is the characteristic: ints in [0, p) over F_p,
+and p = 0 meaning exact entries (ints or Fractions) over Q.
 
 Rational-coefficient gcds and resultants route through here after clearing
 denominators: pseudo-division keeps everything in Z and stripping contents
@@ -117,20 +119,45 @@ def mod_mul(a: list, b: list, p: int) -> list:
     return [c % p for c in out] if p else out
 
 
-def mod_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """f = q*g + r mod p with deg r < deg g (g nonzero); the remainder is
-    reduced once at the end, not at every step, which pays at word-size p."""
+def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:
+    """f = q*g + r with deg r < deg g (g nonzero), mod p or exactly when
+    p = 0; mod p the remainder is reduced once at the end, not at every
+    step, which pays at word-size p."""
     dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
+    inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
     r = list(f)
     q = [0] * max(len(f) - dg, 0)
     for k in range(len(q) - 1, -1, -1):
-        c = r[k + dg] * inv % p
+        c = r[k + dg] * inv % p if p else r[k + dg] * inv
         q[k] = c
         if c:
             for i in range(dg):
                 r[k + i] -= c * g[i]
-    return q, trim([c % p for c in r[:dg]])
+    return q, trim([c % p for c in r[:dg]] if p else r[:dg])
+
+
+def mod_resultant(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p of nonzero residue lists, not both constant, by
+    Euclid on remainders: Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) up to
+    the sign (-1)^(deg a * deg b) of each swap and each step."""
+    acc = 1
+    sign = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if da < db:
+            if (da * db) % 2:
+                sign = -sign
+            a, b = b, a
+            continue
+        if db == 0:
+            return sign * acc * pow(b[-1], da, p) % p
+        r = mod_divmod(a, b, p)[1]
+        if not r:
+            return 0
+        acc = acc * pow(b[-1], da - (len(r) - 1), p) % p
+        if (da * db) % 2:
+            sign = -sign
+        a, b = b, r
 
 
 def mod_gcd(a: list[int], b: list[int], p: int) -> list[int]:

@@ -13,13 +13,12 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .errors import PreconditionError
-from .fields import Fp, PrimeField, parse_field
+from .fields import PrimeField, parse_field
 from .fqring import FqClass, classify, reduce_ring, ring_compose, zero_divisor_witness
 from .oracle import OracleBudget, SearchResult, decompose
-from .parser import ParseError, format_poly, format_ratfun, parse_expression
+from .parser import ParseError, format_coeff, format_poly, format_ratfun, parse_expression
 from .primality import CompositeWitness, Verdict, analyze
 from .ratfun import RatFun
 from .resultants import CriticalValueReport, critical_report
@@ -27,14 +26,6 @@ from .resultants import CriticalValueReport, critical_report
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-
-
-def _element_str(c) -> str:
-    if isinstance(c, Fp):
-        return str(c.value)
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
 
 
 def _blank_report(command: str) -> dict:
@@ -94,7 +85,7 @@ def _fill_critical_section(report: dict, critical: CriticalValueReport | None) -
     if critical is None:
         section["degenerate"] = True
         return
-    section["disc_coefficients"] = [_element_str(c) for c in critical.disc_t.coeffs]
+    section["disc_coefficients"] = [format_coeff(c) for c in critical.disc_t.coeffs]
     section["simple_count"] = critical.simple_count
     section["nonzero_simple_count"] = critical.nonzero_simple_count
     section["zero_multiplicity"] = critical.zero_multiplicity

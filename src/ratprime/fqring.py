@@ -17,7 +17,7 @@ from math import factorial
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField
 from ._intpoly import mod_eval
-from .poly import Poly, _residues, poly_compose
+from .poly import Poly, _unbox, poly_compose
 
 
 class FqClass(Enum):
@@ -62,7 +62,7 @@ def _fold(f: Poly) -> Poly:
     p = f.field.p
     if f.degree < p:
         return f
-    values = _residues(f)
+    values = _unbox(f)
     folded = values[:p]
     for e in range(p, len(values)):
         folded[(e - 1) % (p - 1) + 1] += values[e]
@@ -75,7 +75,7 @@ def reduce_ring(f: Poly) -> FqFunction:
     if not isinstance(f.field, PrimeField):
         raise PreconditionError("the function ring is defined over a prime field")
     p = f.field.p
-    values = _residues(f)
+    values = _unbox(f)
     table = tuple(mod_eval(values, a, p) for a in range(p))
     return FqFunction(p=p, table=table, reduced=_fold(f))
 

@@ -143,6 +143,12 @@ def _format_coeff(c) -> tuple[str, bool]:
     return text, negative
 
 
+def format_coeff(c) -> str:
+    """Signed literal text of one coefficient: "-3/2", "256", a residue."""
+    text, negative = _format_coeff(c)
+    return f"-{text}" if negative else text
+
+
 def format_poly(f: Poly, var: str = "x") -> str:
     """Grammar-safe polynomial text.  A leading negative term is rendered as
     a subtraction from zero, since the grammar has no unary minus."""

@@ -98,18 +98,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
-        if self.field.char:
-            return Poly(self.field, _intpoly.mod_mul(_residues(self), _residues(other),
-                                                     self.field.char))
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly(self.field, _intpoly.mod_mul(_unbox(self), _unbox(other),
+                                                 self.field.char))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -124,14 +114,8 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        c = self.field(c) if isinstance(c, int) else c
+        c = c if isinstance(c, self.field.element) else self.field(c)
         return Poly(self.field, [a * c for a in self.coeffs])
-
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
 
     # -- evaluation and calculus -------------------------------------------
 
@@ -155,8 +139,7 @@ class Poly:
 
     def taylor_shift(self, a) -> "Poly":
         """f(x + a), by Horner composition with (x + a)."""
-        xa = Poly(self.field, (self.field(a) if isinstance(a, int) else a,
-                               self.field.one))
+        xa = Poly(self.field, (a, self.field.one))
         return poly_compose(self, xa)
 
     def __repr__(self):
@@ -168,9 +151,10 @@ def _same_field(f: Poly, g: Poly) -> None:
         raise FieldMismatchError(f"{f.field!r} vs {g.field!r}")
 
 
-def _residues(f: Poly) -> list[int]:
-    """The coefficients of a polynomial over F_p as ints in [0, p)."""
-    return [c.value for c in f.coeffs]
+def _unbox(f: Poly) -> list:
+    """Coefficients for the `_intpoly` kernel: ints in [0, p) over F_p, the
+    Fractions themselves over Q."""
+    return [c.value for c in f.coeffs] if f.field.char else list(f.coeffs)
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -180,21 +164,8 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise PreconditionError("division by the zero polynomial")
     if f.degree < g.degree:
         return Poly.zero(f.field), f
-    field = f.field
-    if field.char:
-        q, r = _intpoly.mod_divmod(_residues(f), _residues(g), field.char)
-        return Poly(field, q), Poly(field, r)
-    dg = g.degree
-    inv_lead = field.one / g.lc
-    rem = list(f.coeffs)
-    quot = [field.zero] * (len(f.coeffs) - dg)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + dg] * inv_lead
-        quot[k] = c
-        if c:
-            for i in range(dg + 1):
-                rem[k + i] = rem[k + i] - c * g.coeffs[i]
-    return Poly(field, quot), Poly(field, rem[:dg])
+    q, r = _intpoly.mod_divmod(_unbox(f), _unbox(g), f.field.char)
+    return Poly(f.field, q), Poly(f.field, r)
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
@@ -220,7 +191,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         raise PreconditionError("gcd of two zero polynomials")
     p = f.field.char
     if p:
-        return Poly(f.field, _intpoly.mod_gcd(_residues(f), _residues(g), p))
+        return Poly(f.field, _intpoly.mod_gcd(_unbox(f), _unbox(g), p))
     if f.is_zero:
         return g.monic()
     if g.is_zero:

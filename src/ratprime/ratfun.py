@@ -38,10 +38,6 @@ class RatFun:
         self.denominator = denominator
 
     @classmethod
-    def from_poly(cls, f: Poly) -> "RatFun":
-        return cls(f)
-
-    @classmethod
     def constant(cls, field, c) -> "RatFun":
         return cls(Poly.constant(field, c))
 
@@ -206,7 +202,7 @@ def valency(f: RatFun | Poly, a) -> int:
     """
     if isinstance(f, Poly):
         f = RatFun(f)
-    a = f.field(a) if isinstance(a, int) else a
+    a = a if isinstance(a, f.field.element) else f.field(a)
     if f.denominator(a) == f.field.zero:
         raise PreconditionError(f"{a!r} is a pole")
     if f.is_zero or f.is_constant:

@@ -3,7 +3,7 @@
 Two exact routes coexist on purpose.  `sylvester_resultant` is the
 definitional one: the Bareiss determinant of the Sylvester matrix, usable
 with scalar or polynomial entries.  `resultant` is the fast one (primitive
-PRS over Z after clearing denominators, plain Euclid over F_p).  The
+PRS over Z after clearing denominators, Euclid on residues over F_p).  The
 polynomial-in-t resultants Res_x(a - t*b, c) evaluate at enough nodes and
 interpolate whenever the field has room, falling back to the direct
 determinant over polynomial entries when it does not; both paths are exact
@@ -19,7 +19,7 @@ from math import gcd as int_gcd
 from . import _intpoly
 from .errors import DegenerateDerivativeError, PreconditionError
 from .numutil import greatest_proper_divisor
-from .poly import NEG_INF, Poly, _fraction_coeffs_to_ints, _same_field, poly_compose, poly_divmod, poly_exact_div
+from .poly import NEG_INF, Poly, _fraction_coeffs_to_ints, _same_field, _unbox, poly_compose, poly_exact_div
 from .ratfun import RatFun, rat_compose
 from .squarefree import SquarefreeFactorization, squarefree_decompose
 
@@ -89,34 +89,15 @@ def resultant(f: Poly, g: Poly):
     if f.degree == 0 and g.degree == 0:
         raise PreconditionError("resultant of two constants")
     field = f.field
-    if field.char == 0:
-        fi = _fraction_coeffs_to_ints(f)
-        gi = _fraction_coeffs_to_ints(g)
-        # f = F/df with F integer, so Res(f, g) = Res(F, G) / (df^deg g * dg^deg f)
-        df = Fraction(fi[-1]) / f.lc
-        dg = Fraction(gi[-1]) / g.lc
-        raw = _intpoly.prs_resultant(fi, gi)
-        return raw / (df ** g.degree * dg ** f.degree)
-    acc = field.one
-    sign = 1
-    a, b = f, g
-    while True:
-        da, db = a.degree, b.degree
-        if da < db:
-            if (da * db) % 2:
-                sign = -sign
-            a, b = b, a
-            continue
-        if db == 0:
-            value = acc * b.lc ** da
-            return value if sign > 0 else -value
-        r = poly_divmod(a, b)[1]
-        if r.is_zero:
-            return field.zero
-        acc = acc * b.lc ** (da - r.degree)
-        if (da * db) % 2:
-            sign = -sign
-        a, b = b, r
+    if field.char:
+        return field(_intpoly.mod_resultant(_unbox(f), _unbox(g), field.char))
+    fi = _fraction_coeffs_to_ints(f)
+    gi = _fraction_coeffs_to_ints(g)
+    # f = F/df with F integer, so Res(f, g) = Res(F, G) / (df^deg g * dg^deg f)
+    df = Fraction(fi[-1]) / f.lc
+    dg = Fraction(gi[-1]) / g.lc
+    raw = _intpoly.prs_resultant(fi, gi)
+    return raw / (df ** g.degree * dg ** f.degree)
 
 
 def discriminant(f: Poly):

@@ -1,9 +1,12 @@
 """Squarefree decomposition over Q and over prime fields.
 
-Yun's algorithm covers characteristic zero.  In characteristic p the
-gcd-with-derivative loop misses multiplicities divisible by p, so the
+One algorithm serves both characteristics: repeated gcds with the
+derivative peel off the factors one multiplicity at a time.  In
+characteristic p that loop misses multiplicities divisible by p, so the
 leftover factor (a perfect p-th power, since prime fields are perfect) is
-handled by exponent division and recursion.
+handled by exponent division and recursion.  In characteristic 0 the
+derivative of a nonconstant polynomial never vanishes and nothing is left
+over.
 """
 
 from __future__ import annotations
@@ -31,25 +34,6 @@ class SquarefreeFactorization:
             acc = acc * factor ** mult
         return acc
 
-    def multiplicity_one_part(self) -> list[Poly]:
-        return [f for f, m in self.parts if m == 1]
-
-
-def _yun(f: Poly) -> list[tuple[Poly, int]]:
-    d = poly_gcd(f, f.derivative())
-    c = poly_exact_div(f, d)
-    w = poly_exact_div(f.derivative(), d) - c.derivative()
-    parts = []
-    i = 1
-    while c.degree > 0:
-        g = poly_gcd(c, w)
-        if g.degree > 0:
-            parts.append((g, i))
-        c = poly_exact_div(c, g)
-        w = poly_exact_div(w, g) - c.derivative()
-        i += 1
-    return parts
-
 
 def _pth_root(f: Poly, p: int) -> Poly:
     """Inverse Frobenius on a polynomial of the form u(x^p) over F_p.
@@ -65,10 +49,12 @@ def _pth_root(f: Poly, p: int) -> Poly:
     return Poly(f.field, coeffs)
 
 
-def _char_p(f: Poly, p: int) -> list[tuple[Poly, int]]:
+def _decompose(f: Poly, p: int) -> list[tuple[Poly, int]]:
+    """(factor, multiplicity) pairs of a monic nonconstant f over a field of
+    characteristic p (0 for Q)."""
     fp = f.derivative()
     if fp.is_zero:
-        return [(g, m * p) for g, m in _char_p(_pth_root(f, p), p)]
+        return [(g, m * p) for g, m in _decompose(_pth_root(f, p), p)]
     parts = []
     c = poly_gcd(f, fp)
     w = poly_exact_div(f, c)
@@ -82,7 +68,7 @@ def _char_p(f: Poly, p: int) -> list[tuple[Poly, int]]:
         w = y
         c = poly_exact_div(c, y)
     if c.degree > 0:
-        parts.extend((g, m * p) for g, m in _char_p(_pth_root(c, p), p))
+        parts.extend((g, m * p) for g, m in _decompose(_pth_root(c, p), p))
     return parts
 
 
@@ -92,8 +78,7 @@ def squarefree_decompose(f: Poly) -> SquarefreeFactorization:
     constant = f.lc
     if f.degree == 0:
         return SquarefreeFactorization(constant, ())
-    monic = f.monic()
-    parts = _yun(monic) if f.field.char == 0 else _char_p(monic, f.field.char)
+    parts = _decompose(f.monic(), f.field.char)
     parts.sort(key=lambda fm: (fm[1], fm[0].degree, [repr(c) for c in fm[0].coeffs]))
     result = SquarefreeFactorization(constant, tuple(parts))
     if result.reconstruct(f.field) != f:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ratprime import (NEG_INF, Poly, PreconditionError, PrimeField, QQ, RatFun,
                       poly_compose, poly_divmod, poly_gcd,
@@ -19,9 +19,15 @@ def test_trailing_zeros_are_stripped():
 
 
 def test_foreign_coefficients_are_converted():
-    # 1/2 is 3 in F_5; a denominator divisible by p has no image
+    # 1/2 is 3 in F_5, as a coefficient, a scale factor, a shift and a base
+    # point alike; a denominator divisible by p has no image
     f5 = PrimeField(5)
-    assert Poly(f5, [Fraction(1, 2), 1]) == Poly(f5, [3, 1])
+    half = Fraction(1, 2)
+    assert Poly(f5, [half, 1]) == Poly(f5, [3, 1])
+    f = Poly(f5, [1, 2, 0, 1])
+    assert f.scale(half) == f.scale(3)
+    assert f.taylor_shift(half) == f.taylor_shift(3)
+    assert valency(f, half) == valency(f, 3)
     with pytest.raises(ZeroDivisionError):
         Poly(f5, [Fraction(1, 5), 1])
 
@@ -114,7 +120,8 @@ def test_gcd_symmetry_and_divisibility(rng):
 
 
 # ---------------------------------------------------------------------------
-# F_p product, division and gcd against sympy, over small and word-size p
+# product, division and gcd against sympy, over Q (p = 0, Fraction
+# coefficients) and over small and word-size p
 
 _X = sympy.Symbol("x")
 # how long one example takes depends on the host, not on the code under test
@@ -122,33 +129,44 @@ _untimed = settings(deadline=None)
 
 
 @st.composite
-def _fp_pair(draw):
-    p = draw(st.sampled_from([2, 3, 7, 13, 1_000_003, 2**31 - 1]))
-    coeffs = st.lists(st.integers(0, p - 1), max_size=9)
+def _kernel_pair(draw):
+    p = draw(st.sampled_from([0, 2, 3, 7, 13, 1_000_003, 2**31 - 1]))
+    coeff = st.fractions(-9, 9, max_denominator=9) if p == 0 else st.integers(0, p - 1)
+    coeffs = st.lists(coeff, max_size=9)
     return p, draw(coeffs), draw(coeffs)
 
 
+def _field(p):
+    return PrimeField(p) if p else QQ
+
+
 def _to_sympy(p, coeffs):
-    return sympy.Poly(list(reversed(coeffs)) or [0], _X, modulus=p)
+    domain = {"modulus": p} if p else {"domain": sympy.QQ}
+    return sympy.Poly(list(reversed(coeffs)) or [0], _X, **domain)
+
+
+def _fraction(c):
+    r = sympy.Rational(c)
+    return Fraction(int(r.p), int(r.q))
 
 
 def _from_sympy(p, poly):
-    return Poly(PrimeField(p), [int(c) for c in reversed(poly.all_coeffs())])
+    return Poly(_field(p), [_fraction(c) for c in reversed(poly.all_coeffs())])
 
 
 @_untimed
-@given(_fp_pair())
+@given(_kernel_pair())
 def test_fp_product_matches_sympy(case):
     p, a, b = case
-    field = PrimeField(p)
+    field = _field(p)
     assert Poly(field, a) * Poly(field, b) == _from_sympy(p, _to_sympy(p, a) * _to_sympy(p, b))
 
 
 @_untimed
-@given(_fp_pair())
+@given(_kernel_pair())
 def test_fp_divmod_matches_sympy(case):
     p, a, b = case
-    field = PrimeField(p)
+    field = _field(p)
     f, g = Poly(field, a), Poly(field, b)
     if g.is_zero:
         return
@@ -160,10 +178,10 @@ def test_fp_divmod_matches_sympy(case):
 
 
 @_untimed
-@given(_fp_pair())
+@given(_kernel_pair())
 def test_fp_gcd_matches_sympy(case):
     p, a, b = case
-    field = PrimeField(p)
+    field = _field(p)
     f, g = Poly(field, a), Poly(field, b)
     if f.is_zero and g.is_zero:
         return
@@ -221,6 +239,32 @@ def test_squarefree_mixed_mod3():
     f = fppoly(3, 0, 0, 1) * fppoly(3, 1, 1) ** 3
     sf = squarefree_decompose(f)
     assert sf.parts == ((fppoly(3, 0, 1), 2), (fppoly(3, 1, 1), 3))
+
+
+@st.composite
+def _powered_factors(draw):
+    """p (0 for Q) and factors of degree at most 2 with exponents up to 3p,
+    so multiplicities p, 2p and 3p (p^2 for p = 3) all occur."""
+    p = draw(st.sampled_from([0, 3, 5, 7]))
+    coeff = st.integers(-3, 3) if p == 0 else st.integers(0, p - 1)
+    factor = st.tuples(st.lists(coeff, min_size=2, max_size=3), st.integers(1, 3 * p or 4))
+    return p, draw(st.lists(factor, min_size=1, max_size=3))
+
+
+@_untimed
+@given(_powered_factors())
+def test_squarefree_matches_sympy(case):
+    p, factors = case
+    field = _field(p)
+    f, reference = Poly.one(field), _to_sympy(p, [1])
+    for coeffs, e in factors:
+        f = f * Poly(field, coeffs) ** e
+        reference = reference * _to_sympy(p, coeffs) ** e
+    assume(not f.is_zero)
+    sf = squarefree_decompose(f)
+    constant, theirs = reference.sqf_list()
+    assert sf.constant == field(_fraction(constant))
+    assert set(sf.parts) == {(_from_sympy(p, g).monic(), m) for g, m in theirs}
 
 
 def test_squarefree_reconstruction_random(rng):

@@ -2,7 +2,7 @@
 
 from .errors import (DegenerateDerivativeError, FieldMismatchError,
                      PreconditionError, RatPrimeError)
-from .fields import Field, Fp, PrimeField, QQ, RationalField, parse_field
+from .fields import Field, PrimeField, QQ, RationalField, parse_field
 from .fqring import (FqClass, FqFunction, all_functions, classify,
                      count_permutations, from_table, identity_function,
                      is_permutation, reduce_ring, ring_compose,

@@ -179,8 +179,13 @@ def mod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def mod_eval(a: list[int], x: int, p: int) -> int:
+def mod_eval(a: list, x, p: int):
+    """a(x) by Horner, mod p or exactly when p = 0."""
     acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
+    if p:
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+    else:
+        for c in reversed(a):
+            acc = acc * x + c
     return acc

@@ -17,7 +17,7 @@ from math import factorial
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField
 from ._intpoly import mod_eval
-from .poly import Poly, _unbox, poly_compose
+from .poly import Poly, poly_compose
 
 
 class FqClass(Enum):
@@ -62,10 +62,9 @@ def _fold(f: Poly) -> Poly:
     p = f.field.p
     if f.degree < p:
         return f
-    values = _unbox(f)
-    folded = values[:p]
-    for e in range(p, len(values)):
-        folded[(e - 1) % (p - 1) + 1] += values[e]
+    folded = list(f.coeffs[:p])
+    for e in range(p, len(f.coeffs)):
+        folded[(e - 1) % (p - 1) + 1] += f.coeffs[e]
     return Poly(f.field, folded)
 
 
@@ -75,8 +74,7 @@ def reduce_ring(f: Poly) -> FqFunction:
     if not isinstance(f.field, PrimeField):
         raise PreconditionError("the function ring is defined over a prime field")
     p = f.field.p
-    values = _unbox(f)
-    table = tuple(mod_eval(values, a, p) for a in range(p))
+    table = tuple(mod_eval(f.coeffs, a, p) for a in range(p))
     return FqFunction(p=p, table=table, reduced=_fold(f))
 
 
@@ -95,8 +93,8 @@ def from_table(p: int, values) -> FqFunction:
         for b in range(p):
             if b != a:
                 basis = basis * Poly(field, (-b, 1))
-                scale = scale * field(a - b)
-        acc = acc + basis.scale(field(value) / scale)
+                scale = field(scale * (a - b))
+        acc = acc + basis.scale(field.div(value, scale))
     return FqFunction(p=p, table=tuple(values), reduced=acc)
 
 

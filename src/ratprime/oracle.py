@@ -28,7 +28,7 @@ from ._intpoly import mod_eval, mod_gcd, mod_mul
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField, QQ
 from .numutil import is_prime, proper_composite_divisors
-from .poly import Poly, _unbox, poly_compose, poly_divmod
+from .poly import Poly, poly_compose, poly_divmod
 from .ratfun import RatFun, rat_compose
 
 
@@ -97,7 +97,7 @@ def _tame_right_factor(f: Poly, k: int) -> Poly:
         gap = target - h ** m
         c = gap.coeff(n - j)
         if c:
-            h = h + Poly(field, (field.zero,) * (k - j) + (c / field(m),))
+            h = h + Poly(field, (field.zero,) * (k - j) + (field.div(c, m),))
     return h
 
 
@@ -280,8 +280,8 @@ def _search_right_factors(f: RatFun, k: int, budget: OracleBudget,
     p = field.char
     deg = f.degree
     m = deg // k
-    f1 = _unbox(f.numerator)
-    f2 = _unbox(f.denominator)
+    f1 = f.numerator.coeffs
+    f2 = f.denominator.coeffs
     f_table = _projective_table(f1, f2, p)
     found = []
     tried = 0
@@ -377,8 +377,8 @@ def solve_left_factor(f: RatFun, h: RatFun) -> RatFun | None:
     k = h.degree
     if deg % k:
         return None
-    f1, f2, u, v = map(_unbox, (f.numerator, f.denominator, h.numerator, h.denominator))
-    sol = _left_factor(f1, f2, u, v, deg // k, f.field.char)
+    sol = _left_factor(f.numerator.coeffs, f.denominator.coeffs, h.numerator.coeffs,
+                       h.denominator.coeffs, deg // k, f.field.char)
     return None if sol is None else _verified(f, h, *sol)
 
 
@@ -412,8 +412,8 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
             found, used, _ = _search_right_factors(image, k, slice_budget, want=1)
             tried += used
             for _, h_bar in found:
-                u = Poly(QQ, _symmetric_lift(_unbox(h_bar.numerator), p))
-                v = Poly(QQ, _symmetric_lift(_unbox(h_bar.denominator), p))
+                u = Poly(QQ, _symmetric_lift(h_bar.numerator.coeffs, p))
+                v = Poly(QQ, _symmetric_lift(h_bar.denominator.coeffs, p))
                 if v.is_zero:
                     continue
                 h = RatFun(u, v)

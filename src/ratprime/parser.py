@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import RatPrimeError
-from .fields import Field, Fp
+from .fields import Field
 from .poly import Poly
 from .ratfun import RatFun
 
@@ -135,8 +135,6 @@ def parse_expression(source: str, field: Field) -> RatFun:
 
 def _format_coeff(c) -> tuple[str, bool]:
     """Literal text for a coefficient's magnitude plus its sign flag."""
-    if isinstance(c, Fp):
-        return str(c.value), False
     negative = c < 0
     mag = -c if negative else c
     text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"

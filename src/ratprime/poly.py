@@ -1,9 +1,10 @@
 """Dense univariate polynomials over an exact field.
 
 Coefficients are stored ascending with no trailing zeros, so structural
-equality is value equality.  The zero polynomial has an empty coefficient
-tuple and its degree is the NEG_INF sentinel (never -1), which keeps degree
-comparisons total in the order-at-infinity bookkeeping.
+equality is value equality.  They are `Fraction`s over Q and ints in [0, p)
+over F_p, exactly what the `_intpoly` kernel takes.  The zero polynomial has
+an empty coefficient tuple and its degree is the NEG_INF sentinel (never -1),
+which keeps degree comparisons total in the order-at-infinity bookkeeping.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        element = field.element
-        cs = [c if isinstance(c, element) else field(c) for c in coeffs]
+        p = field.char
+        if p:
+            cs = [c % p if type(c) is int else field(c) for c in coeffs]
+        else:
+            cs = [c if isinstance(c, Fraction) else field(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
@@ -98,7 +102,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
-        return Poly(self.field, _intpoly.mod_mul(_unbox(self), _unbox(other),
+        return Poly(self.field, _intpoly.mod_mul(self.coeffs, other.coeffs,
                                                  self.field.char))
 
     def __pow__(self, n: int) -> "Poly":
@@ -114,16 +118,16 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        c = c if isinstance(c, self.field.element) else self.field(c)
+        c = self.field(c)
         return Poly(self.field, [a * c for a in self.coeffs])
 
     # -- evaluation and calculus -------------------------------------------
 
     def __call__(self, a):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        a = self.field(a)
+        if not self.coeffs:
+            return self.field.zero
+        return _intpoly.mod_eval(self.coeffs, a, self.field.char)
 
     def derivative(self) -> "Poly":
         return Poly(self.field,
@@ -135,7 +139,7 @@ class Poly:
         lead = self.lc
         if lead == self.field.one:
             return self
-        return Poly(self.field, [c / lead for c in self.coeffs])
+        return self.scale(self.field.div(self.field.one, lead))
 
     def taylor_shift(self, a) -> "Poly":
         """f(x + a), by Horner composition with (x + a)."""
@@ -151,12 +155,6 @@ def _same_field(f: Poly, g: Poly) -> None:
         raise FieldMismatchError(f"{f.field!r} vs {g.field!r}")
 
 
-def _unbox(f: Poly) -> list:
-    """Coefficients for the `_intpoly` kernel: ints in [0, p) over F_p, the
-    Fractions themselves over Q."""
-    return [c.value for c in f.coeffs] if f.field.char else list(f.coeffs)
-
-
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with f = q*g + r and deg r < deg g (or r = 0)."""
     _same_field(f, g)
@@ -164,7 +162,7 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise PreconditionError("division by the zero polynomial")
     if f.degree < g.degree:
         return Poly.zero(f.field), f
-    q, r = _intpoly.mod_divmod(_unbox(f), _unbox(g), f.field.char)
+    q, r = _intpoly.mod_divmod(f.coeffs, g.coeffs, f.field.char)
     return Poly(f.field, q), Poly(f.field, r)
 
 
@@ -191,7 +189,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         raise PreconditionError("gcd of two zero polynomials")
     p = f.field.char
     if p:
-        return Poly(f.field, _intpoly.mod_gcd(_unbox(f), _unbox(g), p))
+        return Poly(f.field, _intpoly.mod_gcd(f.coeffs, g.coeffs, p))
     if f.is_zero:
         return g.monic()
     if g.is_zero:

@@ -32,7 +32,7 @@ class RatFun:
             denominator = poly_exact_div(denominator, g)
         lead = denominator.lc
         if lead != numerator.field.one:
-            numerator = numerator.scale(numerator.field.one / lead)
+            numerator = numerator.scale(numerator.field.div(numerator.field.one, lead))
             denominator = denominator.monic()
         self.numerator = numerator
         self.denominator = denominator
@@ -79,7 +79,7 @@ class RatFun:
         bottom = self.denominator(a)
         if not bottom:
             raise PreconditionError(f"{a!r} is a pole")
-        return self.numerator(a) / bottom
+        return self.field.div(self.numerator(a), bottom)
 
     # -- field arithmetic (what the expression parser builds on) -----------
 
@@ -161,9 +161,9 @@ def mobius_inverse(u: RatFun) -> RatFun:
         raise PreconditionError("only degree-1 functions invert under composition")
     b, a = u.numerator.coeff(0), u.numerator.coeff(1)
     d, c = u.denominator.coeff(0), u.denominator.coeff(1)
-    if not a * d - b * c:
-        raise PreconditionError("singular coefficient matrix")
     field = u.field
+    if not field(a * d - b * c):
+        raise PreconditionError("singular coefficient matrix")
     return RatFun(Poly(field, (-b, d)), Poly(field, (a, -c)))
 
 
@@ -202,8 +202,8 @@ def valency(f: RatFun | Poly, a) -> int:
     """
     if isinstance(f, Poly):
         f = RatFun(f)
-    a = a if isinstance(a, f.field.element) else f.field(a)
-    if f.denominator(a) == f.field.zero:
+    a = f.field(a)
+    if not f.denominator(a):
         raise PreconditionError(f"{a!r} is a pole")
     if f.is_zero or f.is_constant:
         raise PreconditionError("valency of a constant function is undefined")

@@ -19,7 +19,7 @@ from math import gcd as int_gcd
 from . import _intpoly
 from .errors import DegenerateDerivativeError, PreconditionError
 from .numutil import greatest_proper_divisor
-from .poly import NEG_INF, Poly, _fraction_coeffs_to_ints, _same_field, _unbox, poly_compose, poly_exact_div
+from .poly import NEG_INF, Poly, _fraction_coeffs_to_ints, _same_field, poly_compose, poly_exact_div
 from .ratfun import RatFun, rat_compose
 from .squarefree import SquarefreeFactorization, squarefree_decompose
 
@@ -47,7 +47,7 @@ def bareiss_determinant(rows, zero, one, exact_div):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 t = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(t, prev) if k else t
+                m[i][j] = exact_div(t, prev)
             m[i][k] = zero
         prev = m[k][k]
     det = m[n - 1][n - 1]
@@ -76,9 +76,9 @@ def _sylvester_rows(fd: list, gd: list, zero) -> list[list]:
 
 def sylvester_resultant(f: Poly, g: Poly):
     """Resultant as the Sylvester determinant (definitional route)."""
-    rows = sylvester_matrix(f, g)
-    return bareiss_determinant(rows, f.field.zero, f.field.one,
-                               lambda a, b: a / b)
+    field = f.field
+    return field(bareiss_determinant(sylvester_matrix(f, g), field.zero, field.one,
+                                     field.div))
 
 
 def resultant(f: Poly, g: Poly):
@@ -90,7 +90,7 @@ def resultant(f: Poly, g: Poly):
         raise PreconditionError("resultant of two constants")
     field = f.field
     if field.char:
-        return field(_intpoly.mod_resultant(_unbox(f), _unbox(g), field.char))
+        return _intpoly.mod_resultant(f.coeffs, g.coeffs, field.char)
     fi = _fraction_coeffs_to_ints(f)
     gi = _fraction_coeffs_to_ints(g)
     # f = F/df with F integer, so Res(f, g) = Res(F, G) / (df^deg g * dg^deg f)
@@ -109,8 +109,8 @@ def discriminant(f: Poly):
     if fp.is_zero:
         raise DegenerateDerivativeError("derivative vanishes identically")
     res = resultant(f, fp)
-    sign = f.field(-1 if (n * (n - 1) // 2) % 2 else 1)
-    return sign * res / f.lc
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return f.field.div(sign * res, f.lc)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def interpolate(field, xs, ys) -> Poly:
     n = len(xs)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+            coeffs[i] = field.div(coeffs[i] - coeffs[i - 1], xs[i] - xs[i - j])
     acc = Poly.zero(field)
     for i in range(n - 1, -1, -1):
         node = Poly(field, (-xs[i], field.one))
@@ -176,9 +176,8 @@ def _nodes(field, count: int, forbidden) -> list | None:
             k += 1
         return out
     for v in range(field.char):
-        cand = field(v)
-        if cand not in forbidden:
-            out.append(cand)
+        if v not in forbidden:
+            out.append(v)
         if len(out) == count:
             return out
     return None
@@ -208,7 +207,7 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     forbidden = set()
     if b.coeff(n):
         # lc in x is a.coeff(n) - t*b.coeff(n); one bad node
-        forbidden.add(a.coeff(n) / b.coeff(n))
+        forbidden.add(field.div(a.coeff(n), b.coeff(n)))
     nodes = _nodes(field, bound + 1, forbidden)
     if nodes is None:
         return _tpoly_sylvester(xt, c)
@@ -228,8 +227,8 @@ def disc_in_t(f: Poly) -> Poly:
         raise DegenerateDerivativeError("derivative vanishes identically")
     n = f.degree
     res = res_x_linear_t(f, Poly.one(f.field), fp)
-    sign = f.field(-1 if (n * (n - 1) // 2) % 2 else 1)
-    return res.scale(sign / f.lc)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return res.scale(f.field.div(sign, f.lc))
 
 
 def rat_resultant_in_t(f: RatFun) -> Poly:
@@ -327,7 +326,7 @@ def split_discriminant(g: Poly, h: Poly) -> DiscriminantSplit:
     # closed-form constant: n(n - deg g) is always even, so the halved
     # exponent is an integer
     exponent = (n * (n - 1) - n * (g.degree - 1)) // 2 + n * s * (k - 1)
-    a = field(-1 if exponent % 2 else 1) * g.lc ** k * h.lc ** (n * s) / f.lc
+    a = field.div((-1 if exponent % 2 else 1) * g.lc ** k * h.lc ** (n * s), f.lc)
     left = disc_in_t(g)
     right = res_x_linear_t(f, Poly.one(field), hp)
     d_full = disc_in_t(f)

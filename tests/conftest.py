@@ -1,8 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import settings
 
 from ratprime import Poly, PrimeField, QQ, RatFun
+
+# how long one hypothesis example takes depends on the host, not on the code
+# under test
+untimed = settings(deadline=None)
 
 
 def qpoly(*coeffs):
@@ -35,3 +42,27 @@ def random_ratfun(rng, field, num_degree, den_degree):
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+# ---------------------------------------------------------------------------
+# sympy as the differential reference: p = 0 stands for Q
+
+_X = sympy.Symbol("x")
+
+
+def field_of(p):
+    return PrimeField(p) if p else QQ
+
+
+def to_sympy(p, coeffs):
+    domain = {"modulus": p} if p else {"domain": sympy.QQ}
+    return sympy.Poly(list(reversed(coeffs)) or [0], _X, **domain)
+
+
+def sympy_fraction(c):
+    r = sympy.Rational(c)
+    return Fraction(int(r.p), int(r.q))
+
+
+def from_sympy(p, poly):
+    return Poly(field_of(p), [sympy_fraction(c) for c in reversed(poly.all_coeffs())])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratprime import Fp, PreconditionError, PrimeField, QQ, parse_field
+from ratprime import Poly, PreconditionError, PrimeField, QQ, parse_field
 from ratprime.errors import FieldMismatchError
 
 
@@ -14,38 +14,49 @@ def test_prime_field_rejects_composite():
 
 
 def test_fp_arithmetic():
+    # F_p scalars are ints in [0, p): field(...) reduces, field.div inverts
     F7 = PrimeField(7)
     a, b = F7(3), F7(5)
-    assert a + b == F7(1)
-    assert a - b == F7(5)
-    assert a * b == F7(1)
-    assert a / b == F7(3) * F7(3)  # 1/5 = 3 mod 7
-    assert -a == F7(4)
-    assert a ** -1 == F7(5)
+    assert (a, b) == (3, 5)
+    assert F7(a + b) == F7(1)
+    assert F7(a - b) == F7(5)
+    assert F7(a * b) == F7(1)
+    assert F7.div(a, b) == F7(3 * 3)  # 1/5 = 3 mod 7
+    assert F7(-a) == F7(4)
+    assert F7.div(1, a) == F7(5)
     assert bool(F7(0)) is False and bool(a) is True
+    with pytest.raises(ZeroDivisionError):
+        F7.div(a, 14)
 
 
 def test_fp_int_coercion():
     F5 = PrimeField(5)
-    assert F5(2) + 4 == F5(1)
-    assert 3 * F5(4) == F5(2)
+    assert F5(F5(2) + 4) == F5(1)
+    assert F5(3 * F5(4)) == F5(2)
     assert F5(7) == 2
+    assert F5(-1) == 4
 
 
 def test_fp_mismatched_moduli():
+    # bare residues carry no modulus; polynomials over distinct fields still
+    # refuse to mix
     with pytest.raises(FieldMismatchError):
-        PrimeField(5)(1) + PrimeField(7)(1)
+        Poly(PrimeField(5), [1, 1]) + Poly(PrimeField(7), [1, 1])
 
 
 def test_rationals_construct_fractions():
     assert QQ(3) == Fraction(3)
     assert QQ(Fraction(2, 4)) == Fraction(1, 2)
+    assert QQ.div(1, 2) == Fraction(1, 2) and isinstance(QQ.div(1, 2), Fraction)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
     assert QQ.char == 0 and PrimeField(5).char == 5
 
 
 def test_prime_field_maps_fractions():
     F5 = PrimeField(5)
-    assert F5(Fraction(1, 2)) == F5(3)  # 2 * 3 = 1 mod 5
+    assert F5(Fraction(1, 2)) == F5(3) == 3  # 2 * 3 = 1 mod 5
+    assert F5(Fraction(-7, 3)) == 1  # 3 * 1 = -7 mod 5
     with pytest.raises(ZeroDivisionError):
         F5(Fraction(1, 5))
 
@@ -60,4 +71,4 @@ def test_parse_field():
 
 
 def test_field_elements_enumeration():
-    assert [e.value for e in PrimeField(3).elements()] == [0, 1, 2]
+    assert list(PrimeField(3).elements()) == [0, 1, 2]

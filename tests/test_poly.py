@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ratprime import (NEG_INF, Poly, PreconditionError, PrimeField, QQ, RatFun,
-                      poly_compose, poly_divmod, poly_gcd,
-                      squarefree_decompose, valency)
-from conftest import fppoly, qpoly, random_poly
+                      discriminant, poly_compose, poly_divmod, poly_gcd, resultant,
+                      squarefree_decompose, sylvester_resultant, valency)
+from conftest import (field_of, fppoly, from_sympy, qpoly, random_poly,
+                      sympy_fraction, to_sympy, untimed)
 
 
 # ---------------------------------------------------------------------------
@@ -19,8 +19,8 @@ def test_trailing_zeros_are_stripped():
 
 
 def test_foreign_coefficients_are_converted():
-    # 1/2 is 3 in F_5, as a coefficient, a scale factor, a shift and a base
-    # point alike; a denominator divisible by p has no image
+    # 1/2 is 3 in F_5, as a coefficient, a scale factor, a shift, a base
+    # point and an argument alike; a denominator divisible by p has no image
     f5 = PrimeField(5)
     half = Fraction(1, 2)
     assert Poly(f5, [half, 1]) == Poly(f5, [3, 1])
@@ -28,6 +28,8 @@ def test_foreign_coefficients_are_converted():
     assert f.scale(half) == f.scale(3)
     assert f.taylor_shift(half) == f.taylor_shift(3)
     assert valency(f, half) == valency(f, 3)
+    assert f(half) == f(3)
+    assert RatFun(f)(half) == RatFun(f)(3)
     with pytest.raises(ZeroDivisionError):
         Poly(f5, [Fraction(1, 5), 1])
 
@@ -123,11 +125,6 @@ def test_gcd_symmetry_and_divisibility(rng):
 # product, division and gcd against sympy, over Q (p = 0, Fraction
 # coefficients) and over small and word-size p
 
-_X = sympy.Symbol("x")
-# how long one example takes depends on the host, not on the code under test
-_untimed = settings(deadline=None)
-
-
 @st.composite
 def _kernel_pair(draw):
     p = draw(st.sampled_from([0, 2, 3, 7, 13, 1_000_003, 2**31 - 1]))
@@ -136,59 +133,84 @@ def _kernel_pair(draw):
     return p, draw(coeffs), draw(coeffs)
 
 
-def _field(p):
-    return PrimeField(p) if p else QQ
-
-
-def _to_sympy(p, coeffs):
-    domain = {"modulus": p} if p else {"domain": sympy.QQ}
-    return sympy.Poly(list(reversed(coeffs)) or [0], _X, **domain)
-
-
-def _fraction(c):
-    r = sympy.Rational(c)
-    return Fraction(int(r.p), int(r.q))
-
-
-def _from_sympy(p, poly):
-    return Poly(_field(p), [_fraction(c) for c in reversed(poly.all_coeffs())])
-
-
-@_untimed
+@untimed
 @given(_kernel_pair())
 def test_fp_product_matches_sympy(case):
     p, a, b = case
-    field = _field(p)
-    assert Poly(field, a) * Poly(field, b) == _from_sympy(p, _to_sympy(p, a) * _to_sympy(p, b))
+    field = field_of(p)
+    assert Poly(field, a) * Poly(field, b) == from_sympy(p, to_sympy(p, a) * to_sympy(p, b))
 
 
-@_untimed
+@untimed
 @given(_kernel_pair())
 def test_fp_divmod_matches_sympy(case):
     p, a, b = case
-    field = _field(p)
+    field = field_of(p)
     f, g = Poly(field, a), Poly(field, b)
     if g.is_zero:
         return
     q, r = poly_divmod(f, g)
     assert q * g + r == f
     assert r.is_zero or r.degree < g.degree
-    sq, sr = _to_sympy(p, a).div(_to_sympy(p, b))
-    assert (q, r) == (_from_sympy(p, sq), _from_sympy(p, sr))
+    sq, sr = to_sympy(p, a).div(to_sympy(p, b))
+    assert (q, r) == (from_sympy(p, sq), from_sympy(p, sr))
 
 
-@_untimed
+@untimed
 @given(_kernel_pair())
 def test_fp_gcd_matches_sympy(case):
     p, a, b = case
-    field = _field(p)
+    field = field_of(p)
     f, g = Poly(field, a), Poly(field, b)
     if f.is_zero and g.is_zero:
         return
     d = poly_gcd(f, g)
     assert d.lc == field.one
     assert poly_divmod(f, d)[1].is_zero and poly_divmod(g, d)[1].is_zero
-    assert d == _from_sympy(p, _to_sympy(p, a).gcd(_to_sympy(p, b))).monic()
+    assert d == from_sympy(p, to_sympy(p, a).gcd(to_sympy(p, b))).monic()
+
+
+# ---------------------------------------------------------------------------
+# representation: over F_p every coefficient and scalar result is an int in
+# [0, p), whatever ints (negative, or p and beyond) went in
+
+
+@st.composite
+def _residue_case(draw):
+    p = draw(st.sampled_from([2, 7, 2**31 - 1]))
+    coeffs = st.lists(st.integers(-2 * p, 2 * p), max_size=6)
+    return (p, draw(coeffs), draw(coeffs), draw(st.integers(-2 * p, 2 * p)),
+            draw(st.integers(0, 3)))
+
+
+def _is_residue(c, p):
+    return type(c) is int and 0 <= c < p
+
+
+@untimed
+@given(_residue_case())
+def test_fp_results_are_residues(case):
+    p, a, b, s, e = case
+    field = PrimeField(p)
+    f, g = Poly(field, a), Poly(field, b)
+    polys = [f, f + g, f - g, -f, f * g, f ** e, f.scale(s), f.derivative(),
+             f.taylor_shift(s), poly_compose(f, g)]
+    scalars = [f.coeff(i) for i in range(-1, len(a) + 1)] + [f(s)]
+    if f:
+        polys.append(f.monic())
+        scalars.append(f.lc)
+    if g:
+        polys.extend(poly_divmod(f, g))
+    if f or g:
+        polys.append(poly_gcd(f, g))
+    if f and g and max(f.degree, g.degree) > 0:
+        scalars += [resultant(f, g), sylvester_resultant(f, g)]
+    if f.degree >= 1 and f.derivative():
+        scalars.append(discriminant(f))
+    for h in polys:
+        assert all(_is_residue(c, p) for c in h.coeffs)
+        assert not h.coeffs or h.coeffs[-1]
+    assert all(_is_residue(c, p) for c in scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +273,20 @@ def _powered_factors(draw):
     return p, draw(st.lists(factor, min_size=1, max_size=3))
 
 
-@_untimed
+@untimed
 @given(_powered_factors())
 def test_squarefree_matches_sympy(case):
     p, factors = case
-    field = _field(p)
-    f, reference = Poly.one(field), _to_sympy(p, [1])
+    field = field_of(p)
+    f, reference = Poly.one(field), to_sympy(p, [1])
     for coeffs, e in factors:
         f = f * Poly(field, coeffs) ** e
-        reference = reference * _to_sympy(p, coeffs) ** e
+        reference = reference * to_sympy(p, coeffs) ** e
     assume(not f.is_zero)
     sf = squarefree_decompose(f)
     constant, theirs = reference.sqf_list()
-    assert sf.constant == field(_fraction(constant))
-    assert set(sf.parts) == {(_from_sympy(p, g).monic(), m) for g, m in theirs}
+    assert sf.constant == field(sympy_fraction(constant))
+    assert set(sf.parts) == {(from_sympy(p, g).monic(), m) for g, m in theirs}
 
 
 def test_squarefree_reconstruction_random(rng):

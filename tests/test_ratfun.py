@@ -196,16 +196,17 @@ def test_negative_ord_composition_law(rng):
 # unit inversion and right-factor normalization
 
 def test_mobius_inverse_round_trip(rng):
-    x = RatFun(Poly.x(QQ))
-    count = 0
-    while count < 25:
-        u = random_ratfun(rng, QQ, rng.randint(0, 1), rng.randint(0, 1))
-        if u.is_zero or u.is_constant:
-            continue
-        count += 1
-        v = mobius_inverse(u)
-        assert rat_compose(u, v) == x
-        assert rat_compose(v, u) == x
+    for field in (QQ, PrimeField(7)):
+        x = RatFun(Poly.x(field))
+        count = 0
+        while count < 25:
+            u = random_ratfun(rng, field, rng.randint(0, 1), rng.randint(0, 1))
+            if u.is_zero or u.is_constant:
+                continue
+            count += 1
+            v = mobius_inverse(u)
+            assert rat_compose(u, v) == x
+            assert rat_compose(v, u) == x
 
 
 def test_mobius_inverse_rejects_higher_degree():

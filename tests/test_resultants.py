@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ratprime import (DegenerateDerivativeError, Poly, PreconditionError,
                       PrimeField, QQ, RatFun, XTPoly, composite_resultant_check,
@@ -10,7 +11,8 @@ from ratprime import (DegenerateDerivativeError, Poly, PreconditionError,
                       res_x_linear_t, resultant, split_discriminant,
                       sylvester_matrix, sylvester_resultant)
 from ratprime.resultants import _tpoly_sylvester
-from conftest import fppoly, qpoly, random_poly, random_ratfun
+from conftest import (field_of, fppoly, qpoly, random_poly, random_ratfun,
+                      sympy_fraction, to_sympy, untimed)
 
 
 def _naive_det(rows):
@@ -58,7 +60,7 @@ def test_bareiss_matches_naive_determinant(rng):
             f = random_poly(rng, field, rng.randint(1, 3))
             g = random_poly(rng, field, rng.randint(1, 3))
             rows = sylvester_matrix(f, g)
-            assert sylvester_resultant(f, g) == _naive_det(rows)
+            assert sylvester_resultant(f, g) == field(_naive_det(rows))
 
 
 def test_fast_resultant_agrees_with_sylvester(rng):
@@ -67,6 +69,36 @@ def test_fast_resultant_agrees_with_sylvester(rng):
             f = random_poly(rng, field, rng.randint(1, 5))
             g = random_poly(rng, field, rng.randint(1, 5))
             assert resultant(f, g) == sylvester_resultant(f, g)
+
+
+
+@st.composite
+def _disc_case(draw):
+    """p (0 for Q) and the ascending coefficients of a degree-1..7 polynomial."""
+    p = draw(st.sampled_from([0, 3, 5, 7, 1_000_003]))
+    if p:
+        coeff, lead = st.integers(0, p - 1), st.integers(1, p - 1)
+    else:
+        coeff = st.fractions(-9, 9, max_denominator=9)
+        lead = coeff.filter(bool)
+    n = draw(st.integers(1, 7))
+    return p, draw(st.lists(coeff, min_size=n, max_size=n)) + [draw(lead)]
+
+
+@untimed
+@given(_disc_case())
+def test_discriminant_matches_sympy(case):
+    # the definition (-1)^(n(n-1)/2) Res(f, f') / lc(f) through the Sylvester
+    # determinant is the reference; sympy must agree with it too
+    p, coeffs = case
+    field = field_of(p)
+    f = Poly(field, coeffs)
+    assume(not f.derivative().is_zero)
+    n = f.degree
+    by_definition = field.div((-1) ** (n * (n - 1) // 2)
+                              * sylvester_resultant(f, f.derivative()), f.lc)
+    assert discriminant(f) == by_definition
+    assert discriminant(f) == field(sympy_fraction(to_sympy(p, coeffs).discriminant()))
 
 
 def test_resultant_swap_sign(rng):
@@ -195,7 +227,7 @@ def test_small_field_falls_back_to_direct_determinant():
     d = disc_in_t(f)
     xt = XTPoly.linear_in_t(f, Poly.one(field))
     raw = _tpoly_sylvester(xt, f.derivative())
-    assert d == raw.scale(field(-1) / f.lc)  # n = 6: sign (-1)^15
+    assert d == raw.scale(field.div(-1, f.lc))  # n = 6: sign (-1)^15
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +306,13 @@ def test_split_discriminant_examples():
 
 
 def test_split_discriminant_random_and_right_degree(rng):
-    for _ in range(15):
-        g = random_poly(rng, QQ, rng.randint(2, 4))
-        h = random_poly(rng, QQ, rng.randint(2, 4))
-        split = split_discriminant(g, h)  # identity is self-checked inside
-        assert split.right_res.degree == h.degree - 1
+    # p exceeds every degree here, so the closed-form constant holds over F_p
+    for field in (QQ, PrimeField(1_000_003)):
+        for _ in range(15):
+            g = random_poly(rng, field, rng.randint(2, 4))
+            h = random_poly(rng, field, rng.randint(2, 4))
+            split = split_discriminant(g, h)  # identity is self-checked inside
+            assert split.right_res.degree == h.degree - 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
-"""Routines on integer coefficient lists (ascending powers): primitive PRS
-over Z, and the polynomial kernel for both fields (`mod_*`) on trimmed
-coefficient lists, where p is the characteristic: ints in [0, p) over F_p,
-and p = 0 meaning exact entries (ints or Fractions) over Q.
+"""Routines on integer coefficient lists (ascending powers): PRS over Z,
+and the polynomial kernel for both fields (`mod_*`) on trimmed coefficient
+lists, where p is the characteristic: ints in [0, p) over F_p, and p = 0
+meaning exact entries (ints or Fractions) over Q.
 
-Rational-coefficient gcds and resultants route through here after clearing
-denominators: pseudo-division keeps everything in Z and stripping contents
-at each step controls coefficient growth, which naive fraction Euclid does
-not.  The resultant variant tracks the exact scale factor introduced by
-pseudo-division, so its output is the true resultant, not a gcd surrogate.
+Over Q the kernel's gcd and resultant clear denominators (`_clear`) and work
+in Z[x], where pseudo-division keeps every entry an integer and avoids the
+coefficient blowup of fraction Euclid.  The gcd is the primitive PRS, which
+divides out the content of each remainder.  The resultant is the
+subresultant PRS (Collins 1967; Brown-Traub 1971), whose divisions are exact
+in Z, so it returns the integer resultant itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def trim(a: list[int]) -> list[int]:
@@ -27,6 +28,16 @@ def content(a: list[int]) -> int:
     for c in a:
         g = gcd(g, abs(c))
     return g if g else 1
+
+
+def _clear(a: list) -> tuple[list[int], int]:
+    """(d * a, d) for the least d > 0 that makes every entry an integer;
+    d is built by a pairwise lcm, which measured leaner in peak memory than
+    one `lcm(*dens)` call."""
+    den = 1
+    for c in a:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in a], den
 
 
 def primitive(a: list[int]) -> list[int]:
@@ -69,42 +80,36 @@ def prs_gcd(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def prs_resultant(f: list[int], g: list[int]) -> Fraction:
-    """Resultant of integer polynomials via a scale-tracked primitive PRS.
+def prs_resultant(f: list[int], g: list[int]) -> int:
+    """Resultant of nonzero trimmed integer lists by the subresultant PRS.
 
-    Uses only Res(f,g) = (-1)^(deg f * deg g) Res(g,f), the Euclid step
-    Res(g,f) = lc(g)^(deg f - deg r) Res(g, f mod g), and the scalar rule
-    Res(g, c*r) = c^(deg g) Res(g, r).  The accumulated scale can pass
-    through non-integer values, hence the Fraction accumulator; the final
-    value is integral for integer inputs.
+    Each step swaps to Res(g, f) with the sign (-1)^(deg f * deg g) and
+    replaces f by prem(f, g) / (lc_prev * h^delta); the scalars lc_prev and
+    h (h <- lc^delta / h^(delta - 1)) make that division, and the one at the
+    end, exact in Z (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 3.3.7, without its optional content step).
     """
-    f = trim(list(f))
-    g = trim(list(g))
-    if not f or not g:
-        return Fraction(0)
     sign = 1
-    acc = Fraction(1)
-    while True:
+    if len(f) < len(g):
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            sign = -sign
+        f, g = g, f
+    lead = h = 1
+    while len(g) > 1:
         df, dg = len(f) - 1, len(g) - 1
-        if df < dg:
-            if (df * dg) % 2:
-                sign = -sign
-            f, g = g, f
-            continue
-        if dg == 0:
-            return sign * acc * Fraction(g[0]) ** df
+        delta = df - dg
+        if df * dg % 2:
+            sign = -sign
         r = pseudo_rem(f, g)
         if not r:
-            return Fraction(0)
-        dr = len(r) - 1
-        c = content(r)
-        rp = [q // c for q in r]
-        lead = Fraction(g[-1])
-        steps = df - dg + 1
-        acc *= lead ** (df - dr) * Fraction(c) ** dg / lead ** (steps * dg)
-        if (df * dg) % 2:
-            sign = -sign
-        f, g = g, rp
+            return 0
+        scale = lead * h ** delta
+        f, g = g, [c // scale for c in r]
+        lead = f[-1]
+        if delta:
+            h = lead ** delta // h ** (delta - 1)
+    df = len(f) - 1
+    return sign * g[0] ** df // h ** (df - 1) if df else sign
 
 
 def mod_mul(a: list, b: list, p: int) -> list:
@@ -136,10 +141,15 @@ def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:
     return q, trim([c % p for c in r[:dg]] if p else r[:dg])
 
 
-def mod_resultant(a: list[int], b: list[int], p: int) -> int:
-    """Res(a, b) mod p of nonzero residue lists, not both constant, by
-    Euclid on remainders: Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) up to
-    the sign (-1)^(deg a * deg b) of each swap and each step."""
+def mod_resultant(a: list, b: list, p: int):
+    """Res(a, b) of nonzero lists, not both constant.  Mod p by Euclid on
+    remainders: Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) up to the sign
+    (-1)^(deg a * deg b) of each swap and each step.  When p = 0, a = A/da
+    and b = B/db with A, B integral, so Res(a, b) is the Fraction
+    Res(A, B) / (da^deg b * db^deg a)."""
+    if not p:
+        (ai, da), (bi, db) = _clear(a), _clear(b)
+        return Fraction(prs_resultant(ai, bi), da ** (len(b) - 1) * db ** (len(a) - 1))
     acc = 1
     sign = 1
     while True:
@@ -160,10 +170,14 @@ def mod_resultant(a: list[int], b: list[int], p: int) -> int:
         a, b = b, r
 
 
-def mod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd mod p, inputs not both zero.  Remainders are reduced in place
+def mod_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd, inputs not both zero.  When p = 0 this is the primitive
+    PRS on the cleared integer lists.  Mod p remainders are reduced in place
     without quotients: the oracle runs this on every candidate right factor,
     and going through `mod_divmod` made that about a third slower."""
+    if not p:
+        d = prs_gcd(_clear(a)[0], _clear(b)[0])
+        return [Fraction(c, d[-1]) for c in d]
     a, b = list(a), list(b)
     while b:
         inv = pow(b[-1], -1, p)

@@ -235,6 +235,10 @@ def build_cli() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: its objects form reference cycles, and a parser per
+# call would leave them to the cyclic collector after every job
+_PARSER = build_cli()
+
 _HANDLERS = {
     "analyze": _cmd_analyze,
     "decompose": _cmd_decompose,
@@ -244,7 +248,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_cli().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     report = _blank_report(args.command)
     report["input"] = args.expr
     start = time.perf_counter()

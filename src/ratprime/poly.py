@@ -10,11 +10,10 @@ which keeps degree comparisons total in the order-at-infinity bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import _intpoly
 from .errors import FieldMismatchError, PreconditionError
-from .fields import Field, QQ
+from .fields import Field
 
 NEG_INF = float("-inf")
 
@@ -113,8 +112,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c) -> "Poly":
@@ -173,29 +173,12 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
     return q
 
 
-def _fraction_coeffs_to_ints(f: Poly) -> list[int]:
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, c.denominator)
-    return [int(c * den) for c in f.coeffs]
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd.  Over F_p this is Euclid on residues; over Q it clears
-    denominators and runs a primitive-part PRS in Z[x] to avoid the
-    coefficient blowup of fraction Euclid."""
+    """Monic gcd: Euclid on residues over F_p, a PRS in Z[x] over Q."""
     _same_field(f, g)
     if f.is_zero and g.is_zero:
         raise PreconditionError("gcd of two zero polynomials")
-    p = f.field.char
-    if p:
-        return Poly(f.field, _intpoly.mod_gcd(f.coeffs, g.coeffs, p))
-    if f.is_zero:
-        return g.monic()
-    if g.is_zero:
-        return f.monic()
-    raw = _intpoly.prs_gcd(_fraction_coeffs_to_ints(f), _fraction_coeffs_to_ints(g))
-    return Poly(QQ, [Fraction(c) for c in raw]).monic()
+    return Poly(f.field, _intpoly.mod_gcd(f.coeffs, g.coeffs, f.field.char))
 
 
 def poly_compose(g: Poly, h: Poly) -> Poly:

@@ -26,10 +26,11 @@ class RatFun:
             self.numerator = numerator
             self.denominator = Poly.one(numerator.field)
             return
-        g = poly_gcd(numerator, denominator)
-        if g.degree > 0:
-            numerator = poly_exact_div(numerator, g)
-            denominator = poly_exact_div(denominator, g)
+        if denominator.degree > 0:
+            g = poly_gcd(numerator, denominator)
+            if g.degree > 0:
+                numerator = poly_exact_div(numerator, g)
+                denominator = poly_exact_div(denominator, g)
         lead = denominator.lc
         if lead != numerator.field.one:
             numerator = numerator.scale(numerator.field.div(numerator.field.one, lead))

@@ -2,12 +2,13 @@
 
 Two exact routes coexist on purpose.  `sylvester_resultant` is the
 definitional one: the Bareiss determinant of the Sylvester matrix, usable
-with scalar or polynomial entries.  `resultant` is the fast one (primitive
-PRS over Z after clearing denominators, Euclid on residues over F_p).  The
-polynomial-in-t resultants Res_x(a - t*b, c) evaluate at enough nodes and
-interpolate whenever the field has room, falling back to the direct
-determinant over polynomial entries when it does not; both paths are exact
-and are cross-checked in the test suite.
+with scalar or polynomial entries.  `resultant` is the fast one, the
+kernel's `mod_resultant`: the subresultant PRS over Z after clearing
+denominators, Euclid on residues over F_p.  The polynomial-in-t resultants
+Res_x(a - t*b, c) evaluate at enough nodes and interpolate whenever the
+field has room, falling back to the direct determinant over polynomial
+entries when it does not; both paths are exact and are cross-checked in the
+test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd as int_gcd
 from . import _intpoly
 from .errors import DegenerateDerivativeError, PreconditionError
 from .numutil import greatest_proper_divisor
-from .poly import NEG_INF, Poly, _fraction_coeffs_to_ints, _same_field, poly_compose, poly_exact_div
+from .poly import NEG_INF, Poly, _same_field, poly_compose, poly_exact_div
 from .ratfun import RatFun, rat_compose
 from .squarefree import SquarefreeFactorization, squarefree_decompose
 
@@ -88,16 +89,7 @@ def resultant(f: Poly, g: Poly):
         raise PreconditionError("resultant needs nonzero polynomials")
     if f.degree == 0 and g.degree == 0:
         raise PreconditionError("resultant of two constants")
-    field = f.field
-    if field.char:
-        return _intpoly.mod_resultant(f.coeffs, g.coeffs, field.char)
-    fi = _fraction_coeffs_to_ints(f)
-    gi = _fraction_coeffs_to_ints(g)
-    # f = F/df with F integer, so Res(f, g) = Res(F, G) / (df^deg g * dg^deg f)
-    df = Fraction(fi[-1]) / f.lc
-    dg = Fraction(gi[-1]) / g.lc
-    raw = _intpoly.prs_resultant(fi, gi)
-    return raw / (df ** g.degree * dg ** f.degree)
+    return _intpoly.mod_resultant(f.coeffs, g.coeffs, f.field.char)
 
 
 def discriminant(f: Poly):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -300,6 +301,20 @@ def test_cli_text_mode(capsys):
 def test_cli_error_text_goes_to_stderr(capsys):
     code, out, err = _run(capsys, "analyze", "x++1")
     assert code == 2 and "error" in err
+
+
+def test_cli_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert _run(capsys, "analyze", "x^3+x")[0] == 0
+    assert built == []
 
 
 def test_cli_reports_are_deterministic(capsys):

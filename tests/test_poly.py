@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from ratprime import _intpoly
 from ratprime import (NEG_INF, Poly, PreconditionError, PrimeField, QQ, RatFun,
                       discriminant, poly_compose, poly_divmod, poly_gcd, resultant,
                       squarefree_decompose, sylvester_resultant, valency)
@@ -171,27 +172,47 @@ def test_fp_gcd_matches_sympy(case):
 
 
 # ---------------------------------------------------------------------------
+# powers: square only while bits of the exponent remain
+
+def test_pow_multiplies_once_per_bit(monkeypatch):
+    f = qpoly(1, 1)
+    expected = [Poly.one(QQ)]
+    for _ in range(13):
+        expected.append(expected[-1] * f)
+    calls = []
+    mod_mul = _intpoly.mod_mul
+    monkeypatch.setattr(_intpoly, "mod_mul",
+                        lambda a, b, p: calls.append(p) or mod_mul(a, b, p))
+    for n in (0, 1, 2, 5, 8, 13):
+        calls.clear()
+        assert f ** n == expected[n]
+        # one squaring per bit below the top one, one product per set bit
+        assert len(calls) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+
+
+# ---------------------------------------------------------------------------
 # representation: over F_p every coefficient and scalar result is an int in
-# [0, p), whatever ints (negative, or p and beyond) went in
+# [0, p), whatever ints (negative, or p and beyond) went in; over Q (p = 0)
+# it is a Fraction, never an int the kernel computed on the way
 
 
 @st.composite
 def _residue_case(draw):
-    p = draw(st.sampled_from([2, 7, 2**31 - 1]))
-    coeffs = st.lists(st.integers(-2 * p, 2 * p), max_size=6)
-    return (p, draw(coeffs), draw(coeffs), draw(st.integers(-2 * p, 2 * p)),
-            draw(st.integers(0, 3)))
+    p = draw(st.sampled_from([0, 2, 7, 2**31 - 1]))
+    scalar = st.integers(-2 * p, 2 * p) if p else st.fractions(-9, 9, max_denominator=9)
+    coeffs = st.lists(scalar, max_size=6)
+    return p, draw(coeffs), draw(coeffs), draw(scalar), draw(st.integers(0, 3))
 
 
 def _is_residue(c, p):
-    return type(c) is int and 0 <= c < p
+    return type(c) is int and 0 <= c < p if p else type(c) is Fraction
 
 
 @untimed
 @given(_residue_case())
 def test_fp_results_are_residues(case):
     p, a, b, s, e = case
-    field = PrimeField(p)
+    field = field_of(p)
     f, g = Poly(field, a), Poly(field, b)
     polys = [f, f + g, f - g, -f, f * g, f ** e, f.scale(s), f.derivative(),
              f.taylor_shift(s), poly_compose(f, g)]

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ratprime import (Poly, PreconditionError, PrimeField, QQ, RatFun,
-                      mobius_inverse, normalize_right_factor, rat_compose)
+                      mobius_inverse, normalize_right_factor, parse_expression,
+                      rat_compose, ratfun)
 from conftest import fppoly, qpoly, random_poly, random_ratfun
 
 
@@ -52,6 +53,19 @@ def test_monic_denominator_normalization():
     f = RatFun(qpoly(0, 1), qpoly(0, 0, 2))
     assert f.denominator.lc == Fraction(1)
     assert f.numerator == Poly.constant(QQ, Fraction(1, 2))
+
+
+def test_constant_denominator_needs_no_gcd(monkeypatch):
+    def no_gcd(f, g):
+        raise AssertionError(f"poly_gcd({f!r}, {g!r})")
+
+    monkeypatch.setattr(ratfun, "poly_gcd", no_gcd)
+    assert RatFun(qpoly(1, 2, 3)).numerator == qpoly(1, 2, 3)
+    f = RatFun(qpoly(1, 2), qpoly(4))
+    assert (f.numerator, f.denominator) == (qpoly(Fraction(1, 4), Fraction(1, 2)),
+                                            Poly.one(QQ))
+    f = parse_expression("(x^2+x+1)^3 - x/2 + 3*x^5", QQ)
+    assert f.denominator == Poly.one(QQ) and f.numerator.degree == 6
 
 
 # ---------------------------------------------------------------------------

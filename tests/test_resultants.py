@@ -71,6 +71,43 @@ def test_fast_resultant_agrees_with_sylvester(rng):
             assert resultant(f, g) == sylvester_resultant(f, g)
 
 
+@st.composite
+def _prs_pair(draw):
+    """(f, g, shared) over Q with Fraction coefficients, built backwards from
+    the remainder sequence, r_(i-1) = q_i * r_i + r_(i+1), with sparse
+    quotients of degree 1 to 3: each quotient of degree 2 or 3 is a step
+    where the remainder degree drops by 2 or more.  The sequence ends in a
+    nonzero constant, or in a nonconstant common factor (shared, so the
+    resultant is 0); or g is a constant and f is not."""
+    coeff = st.fractions(-6, 6, max_denominator=4)
+
+    def sparse(n):
+        coeffs = [Fraction(0)] * n + [draw(coeff.filter(bool))]
+        for i in (draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ()):
+            coeffs[i] = draw(coeff)
+        return qpoly(*coeffs)
+
+    kind = draw(st.sampled_from(["coprime", "shared", "constant"]))
+    if kind == "constant":
+        return sparse(draw(st.integers(1, 7))), sparse(0), False
+    b = sparse(draw(st.integers(1, 2)) if kind == "shared" else 0)
+    a = sparse(draw(st.integers(1, 3))) * b
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = sparse(draw(st.integers(1, 3))) * a + b, a
+    return a, b, kind == "shared"
+
+
+@untimed
+@given(_prs_pair())
+def test_resultant_matches_sylvester_off_the_normal_prs(case):
+    f, g, shared = case
+    for a, b in ((f, g), (g, f)):
+        res = resultant(a, b)
+        assert res == sylvester_resultant(a, b)
+        assert type(res) is Fraction
+        if shared:
+            assert res == 0
+
 
 @st.composite
 def _disc_case(draw):

@@ -3,18 +3,32 @@ and the polynomial kernel for both fields (`mod_*`) on trimmed coefficient
 lists, where p is the characteristic: ints in [0, p) over F_p, and p = 0
 meaning exact entries (ints or Fractions) over Q.
 
-Over Q the kernel's gcd and resultant clear denominators (`_clear`) and work
-in Z[x], where pseudo-division keeps every entry an integer and avoids the
-coefficient blowup of fraction Euclid.  The gcd is the primitive PRS, which
-divides out the content of each remainder.  The resultant is the
-subresultant PRS (Collins 1967; Brown-Traub 1971), whose divisions are exact
-in Z, so it returns the integer resultant itself.
+Over Q (p = 0) the kernel clears denominators once (`_clear`) and does its
+work in Z[x]:
+
+- The product runs on the cleared integer lists and divides by the two
+  denominators once at the end.
+- The gcd first tries a modular exit (Brown 1971; von zur Gathen-Gerhard,
+  Modern Computer Algebra, ch. 6).  Let A, B be the cleared lists and q the
+  fixed word prime EXIT_PRIME with q dividing neither lc(A) nor lc(B).  A
+  common factor of positive degree over Q can be taken primitive in Z[x]
+  (Gauss), and its leading coefficient divides lc(A), so it keeps its degree
+  mod q and divides both images.  Hence coprime images mod q prove
+  gcd(A, B) = 1 over Q; the exit is exact, not probabilistic.  Otherwise
+  the gcd is the primitive PRS, which divides out the content of each
+  remainder and avoids the coefficient blowup of fraction Euclid.
+- The resultant is the subresultant PRS (Collins 1967; Brown-Traub 1971),
+  whose divisions are exact in Z, so it returns the integer resultant
+  itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+# the word prime of the modular exit in the Q gcd (`mod_gcd`)
+EXIT_PRIME = 2**31 - 1
 
 
 def trim(a: list[int]) -> list[int]:
@@ -113,15 +127,23 @@ def prs_resultant(f: list[int], g: list[int]) -> int:
 
 
 def mod_mul(a: list, b: list, p: int) -> list:
-    """Product mod p; p = 0 leaves the entries exact (ints or Fractions)."""
+    """Product mod p.  When p = 0 both inputs are cleared once (`_clear`),
+    multiplied in Z and divided once by the two denominators, so the
+    result is Fractions (never ints) and the quadratic loop does no
+    Fraction arithmetic."""
     if not a or not b:
         return []
+    if not p:
+        (a, da), (b, db) = _clear(a), _clear(b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return [c % p for c in out] if p else out
+    if p:
+        return [c % p for c in out]
+    d = da * db
+    return [Fraction(c) for c in out] if d == 1 else [Fraction(c, d) for c in out]
 
 
 def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:
@@ -171,12 +193,20 @@ def mod_resultant(a: list, b: list, p: int):
 
 
 def mod_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd, inputs not both zero.  When p = 0 this is the primitive
-    PRS on the cleared integer lists.  Mod p remainders are reduced in place
-    without quotients: the oracle runs this on every candidate right factor,
-    and going through `mod_divmod` made that about a third slower."""
+    """Monic gcd, inputs not both zero.  When p = 0 the cleared integer
+    lists first try the modular exit: if the word prime EXIT_PRIME divides
+    neither leading coefficient and the images mod EXIT_PRIME are coprime,
+    the gcd is 1 (exact, see the module docstring).  Otherwise the answer is
+    the primitive PRS.  Mod p remainders are reduced in place without
+    quotients: the oracle runs this on every candidate right factor, and
+    going through `mod_divmod` made that about a third slower."""
     if not p:
-        d = prs_gcd(_clear(a)[0], _clear(b)[0])
+        a, b = _clear(a)[0], _clear(b)[0]
+        q = EXIT_PRIME
+        if (a and b and a[-1] % q and b[-1] % q
+                and len(mod_gcd([c % q for c in a], [c % q for c in b], q)) == 1):
+            return [Fraction(1)]
+        d = prs_gcd(a, b)
         return [Fraction(c, d[-1]) for c in d]
     a, b = list(a), list(b)
     while b:

@@ -174,7 +174,9 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd: Euclid on residues over F_p, a PRS in Z[x] over Q."""
+    """Monic gcd: Euclid on residues over F_p.  Over Q, on the cleared
+    integer lists: 1 when the images mod a word prime are coprime, else the
+    primitive PRS in Z[x] (`_intpoly.mod_gcd`)."""
     _same_field(f, g)
     if f.is_zero and g.is_zero:
         raise PreconditionError("gcd of two zero polynomials")

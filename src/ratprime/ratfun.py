@@ -85,11 +85,17 @@ class RatFun:
     # -- field arithmetic (what the expression parser builds on) -----------
 
     def __add__(self, other: "RatFun") -> "RatFun":
+        # a shared denominator (Poly.one for every polynomial term the
+        # parser adds) needs no products; the constructor still reduces
+        if self.denominator == other.denominator:
+            return RatFun(self.numerator + other.numerator, self.denominator)
         return RatFun(self.numerator * other.denominator
                       + other.numerator * self.denominator,
                       self.denominator * other.denominator)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
+        if self.denominator == other.denominator:
+            return RatFun(self.numerator - other.numerator, self.denominator)
         return RatFun(self.numerator * other.denominator
                       - other.numerator * self.denominator,
                       self.denominator * other.denominator)

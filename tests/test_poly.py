@@ -123,13 +123,101 @@ def test_gcd_symmetry_and_divisibility(rng):
 
 
 # ---------------------------------------------------------------------------
+# the modular exit of the Q gcd: coprime images mod the word prime q prove
+# gcd 1 over Q; images that share a factor, and a leading coefficient that q
+# divides (an image of lower degree), must fall through to the primitive PRS
+
+_Q = _intpoly.EXIT_PRIME
+
+
+def _root(r):
+    return qpoly(-r, 1)
+
+
+def _exit_cases():
+    """(f, g, gcd) over Q."""
+    one = Poly.one(QQ)
+    drops = qpoly(1, _Q) * qpoly(2, 1)  # (q x + 1)(x + 2): degree drops mod q
+    return [
+        # coprime over Q, one shared root mod q
+        (_root(3), _root(3 + _Q), one),
+        (_root(3), _root(3 - 5 * _Q), one),
+        (_root(3) * _root(-5), _root(3 + _Q) * _root(7), one),
+        (_root(3) * _root(-5), _root(3 + 2 * _Q) * _root(-5 + _Q), one),
+        (qpoly(1, 0, 1), qpoly(1, _Q, 1), one),
+        # q divides a leading coefficient, as an integer and after clearing
+        (drops, qpoly(1, _Q) * qpoly(3, 1), qpoly(Fraction(1, _Q), 1)),
+        (qpoly(Fraction(1, _Q), 1) * qpoly(2, 1), qpoly(Fraction(1, _Q), 1) * qpoly(3, 1),
+         qpoly(Fraction(1, _Q), 1)),
+        (drops, qpoly(Fraction(1, _Q), 1) * qpoly(3, 1), qpoly(Fraction(1, _Q), 1)),
+        (qpoly(1, _Q), qpoly(2, 1), one),
+        (qpoly(1, 2 * _Q, 0, _Q), qpoly(5, 1), one),
+        # gcds that are not 1, with and without extra shared roots mod q
+        (_root(3) * _root(-5), _root(3) * _root(-5 + _Q), _root(3)),
+        (_root(1) ** 2 * _root(2), _root(1) * _root(2) ** 3, _root(1) * _root(2)),
+        (drops * _root(4), drops * _root(4 + _Q), drops.monic()),
+    ]
+
+
+def _sympy_gcd(f, g):
+    return from_sympy(0, to_sympy(0, f.coeffs).gcd(to_sympy(0, g.coeffs))).monic()
+
+
+def test_q_gcd_exit_is_exact():
+    for f, g, d in _exit_cases():
+        assert poly_gcd(f, g) == poly_gcd(g, f) == d == _sympy_gcd(f, g)
+        prs = _intpoly.prs_gcd(_intpoly._clear(f.coeffs)[0], _intpoly._clear(g.coeffs)[0])
+        assert d == Poly(QQ, prs).monic()
+
+
+@st.composite
+def _near_q_triple(draw):
+    """Integer or Fraction lists u, v, w with entries that vanish or agree
+    mod q, including leading coefficients."""
+    coeff = st.one_of(st.integers(-3, 3),
+                      st.sampled_from([_Q, -_Q, 2 * _Q, _Q + 1, 1 - _Q, Fraction(1, _Q),
+                                       Fraction(2, _Q), Fraction(_Q, 3)]))
+    lists = st.lists(coeff, min_size=1, max_size=4)
+    return draw(lists), draw(lists), draw(lists)
+
+
+@untimed
+@given(_near_q_triple())
+def test_q_gcd_near_q_matches_sympy(case):
+    u, v, w = (Poly(QQ, c) for c in case)
+    f, g = u * w, v * w
+    assume(f or g)
+    assert poly_gcd(f, g) == _sympy_gcd(f, g)
+
+
+def test_squarefree_q_needs_no_prs_gcd(monkeypatch):
+    # gcd(f, f') of a squarefree f is decided by the exit alone
+    calls = []
+    prs_gcd = _intpoly.prs_gcd
+    monkeypatch.setattr(_intpoly, "prs_gcd", lambda f, g: calls.append(1) or prs_gcd(f, g))
+    for f in (qpoly(5, 2, 0, 1), qpoly(1, -1, 0, 0, 0, 1),
+              qpoly(Fraction(1, 3), 0, 7, 0, 0, 0, 0, -2)):
+        assert squarefree_decompose(f).parts == ((f.monic(), 1),)
+    assert calls == []
+    assert squarefree_decompose(qpoly(1, 1) ** 3).parts == ((qpoly(1, 1), 3),)
+    assert calls
+
+
+# ---------------------------------------------------------------------------
 # product, division and gcd against sympy, over Q (p = 0, Fraction
 # coefficients) and over small and word-size p
+
+# over Q the kernel clears denominators, so the draws mix ints with small
+# Fractions and with Fractions over large coprime denominators (a large lcm)
+_Q_COEFF = st.one_of(st.fractions(-9, 9, max_denominator=9), st.integers(-9, 9),
+                     st.builds(Fraction, st.integers(-10**6, 10**6),
+                               st.sampled_from([999_983, 1_000_003, 2**31 - 1, 2**61 - 1])))
+
 
 @st.composite
 def _kernel_pair(draw):
     p = draw(st.sampled_from([0, 2, 3, 7, 13, 1_000_003, 2**31 - 1]))
-    coeff = st.fractions(-9, 9, max_denominator=9) if p == 0 else st.integers(0, p - 1)
+    coeff = _Q_COEFF if p == 0 else st.integers(0, p - 1)
     coeffs = st.lists(coeff, max_size=9)
     return p, draw(coeffs), draw(coeffs)
 
@@ -139,7 +227,24 @@ def _kernel_pair(draw):
 def test_fp_product_matches_sympy(case):
     p, a, b = case
     field = field_of(p)
-    assert Poly(field, a) * Poly(field, b) == from_sympy(p, to_sympy(p, a) * to_sympy(p, b))
+    product = from_sympy(p, to_sympy(p, a) * to_sympy(p, b))
+    assert Poly(field, a) * Poly(field, b) == product
+    # the kernel itself on the drawn lists, ints and Fractions mixed at p = 0
+    raw = _intpoly.mod_mul(_intpoly.trim(list(a)), _intpoly.trim(list(b)), p)
+    assert Poly(field, raw) == product
+    assert all(_is_residue(c, p) for c in raw)
+
+
+def test_q_products_are_fractions():
+    # p = 0 products are Fractions even from int lists such as the [[1]]
+    # powers the left-factor solver starts from
+    for a, b, ab in (([1], [1], [1]), ([2, 0, -1], [3], [6, 0, -3]),
+                     ([1], [Fraction(1, 2), 3], [Fraction(1, 2), 3]),
+                     ([Fraction(1, 3), 2], [Fraction(3, 2), 1],
+                      [Fraction(1, 2), Fraction(10, 3), 2])):
+        product = _intpoly.mod_mul(a, b, 0)
+        assert product == ab
+        assert all(type(c) is Fraction for c in product)
 
 
 @untimed

@@ -21,7 +21,7 @@ from .primality import (CompositeWitness, PrimeByDegree, PrimeByNonzeroSimpleCri
                         ord_infinity_certificate, simple_critical_certificate,
                         valency_certificate)
 from .ratfun import RatFun, mobius_inverse, normalize_right_factor, rat_compose, valency
-from .resultants import (CriticalValueReport, DiscriminantSplit, XTPoly,
+from .resultants import (CriticalValueReport, DiscriminantSplit,
                          bareiss_determinant, composite_resultant_check,
                          critical_report, critical_values, disc_in_t, discriminant, interpolate,
                          rat_resultant_in_t, res_x_linear_t, resultant,

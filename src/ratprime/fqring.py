@@ -18,6 +18,7 @@ from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField
 from ._intpoly import mod_eval
 from .poly import Poly, poly_compose
+from .resultants import interpolate
 
 
 class FqClass(Enum):
@@ -79,23 +80,14 @@ def reduce_ring(f: Poly) -> FqFunction:
 
 
 def from_table(p: int, values) -> FqFunction:
-    """Lagrange interpolation of a value table into the reduced representative."""
+    """The function with this value table; its reduced representative is
+    the unique interpolant of degree < p."""
     field = PrimeField(p)
     values = [v % p for v in values]
     if len(values) != p:
         raise PreconditionError(f"table must have length {p}")
-    acc = Poly.zero(field)
-    for a, value in enumerate(values):
-        if not value:
-            continue
-        basis = Poly.one(field)
-        scale = field.one
-        for b in range(p):
-            if b != a:
-                basis = basis * Poly(field, (-b, 1))
-                scale = field(scale * (a - b))
-        acc = acc + basis.scale(field.div(value, scale))
-    return FqFunction(p=p, table=tuple(values), reduced=acc)
+    return FqFunction(p=p, table=tuple(values),
+                      reduced=interpolate(field, range(p), values))
 
 
 def identity_function(p: int) -> FqFunction:
@@ -145,10 +137,10 @@ def all_functions(p: int):
         yield from_table(p, values)
 
 
-def count_permutations(p: int, limit: int = 5) -> int:
+def count_permutations(p: int) -> int:
     """Exhaustively count the units among all p^p functions; equals p!."""
-    if p > limit:
-        raise PreconditionError(f"exhaustive enumeration capped at p <= {limit}")
+    if p > 5:
+        raise PreconditionError("exhaustive enumeration capped at p <= 5")
     count = sum(1 for values in product(range(p), repeat=p)
                 if len(set(values)) == p)
     assert count == factorial(p)

@@ -15,7 +15,9 @@ witness over Q is therefore never claimed to be exhaustive.
 
 "Budget exhausted" and "exhaustively absent" are distinct outcomes; the
 exhaustive flag is what lets the primality soundness tests treat an absent
-witness as a proof.  `decompose` picks the right search for a given f.
+witness as a proof.  The budget's candidate cap bounds one whole search,
+across every right-factor degree and lift prime.  `decompose` picks the
+right search for a given f.
 """
 
 from __future__ import annotations
@@ -32,15 +34,21 @@ from .poly import Poly, poly_compose, poly_divmod
 from .ratfun import RatFun, rat_compose
 
 
+# Brute-force limits: larger fields and right-factor degrees are skipped,
+# and a search that skips any is not exhaustive.
+_MAX_FIELD_SIZE = 13
+_MAX_RIGHT_DEGREE = 8
+
+
 @dataclass(frozen=True)
 class OracleBudget:
-    max_field_size: int = 13
-    max_right_degree: int = 8
+    """candidate_cap bounds the candidates one search tries in total."""
+
     candidate_cap: int = 100_000
 
     def __post_init__(self):
-        if self.max_field_size < 2 or self.max_right_degree < 2 or self.candidate_cap < 1:
-            raise PreconditionError("budget components must be positive")
+        if self.candidate_cap < 1:
+            raise PreconditionError("oracle candidate cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
     tried = 0
     exhaustive = True
     for k in _right_degrees(n):
-        if k > budget.max_right_degree:
+        if k > _MAX_RIGHT_DEGREE:
             exhaustive = False
             continue
         if field.char == 0:
@@ -127,7 +135,7 @@ def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
                 return SearchResult((g, h), True, tried)
         else:
             p = field.char
-            if p > budget.max_field_size or tried + p ** (k - 1) > budget.candidate_cap:
+            if p > _MAX_FIELD_SIZE or tried + p ** (k - 1) > budget.candidate_cap:
                 exhaustive = False
                 continue
             for tail in product(range(p), repeat=k - 1):
@@ -271,11 +279,11 @@ def _verified(f: RatFun, h: RatFun, pp: list, q: list) -> RatFun | None:
     return g if rat_compose(g, h) == f else None
 
 
-def _search_right_factors(f: RatFun, k: int, budget: OracleBudget,
-                          want: int) -> tuple[list, int, bool]:
-    """Enumerate canonical right factors of degree k over F_p, returning up
-    to `want` fully verified witness pairs, the number of candidates tried,
-    and whether the enumeration covered the whole space."""
+def _search_right_factors(f: RatFun, k: int, cap: int) -> tuple[tuple | None, int, bool]:
+    """Enumerate at most `cap` canonical right factors of degree k over F_p,
+    returning the first fully verified witness pair (or None), the number of
+    candidates tried, and whether the search is conclusive (a witness, or
+    the whole space enumerated)."""
     field = f.field
     p = field.char
     deg = f.degree
@@ -283,11 +291,10 @@ def _search_right_factors(f: RatFun, k: int, budget: OracleBudget,
     f1 = f.numerator.coeffs
     f2 = f.denominator.coeffs
     f_table = _projective_table(f1, f2, p)
-    found = []
     tried = 0
     for u, v in _canonical_right_factors(p, k):
-        if tried >= budget.candidate_cap:
-            return found, tried, False
+        if tried >= cap:
+            return None, tried, False
         tried += 1
         if len(mod_gcd(u, v, p)) > 1:
             continue
@@ -299,10 +306,8 @@ def _search_right_factors(f: RatFun, k: int, budget: OracleBudget,
         h = RatFun(Poly(field, u), Poly(field, v))
         g = _verified(f, h, *sol)
         if g is not None:
-            found.append((g, h))
-            if len(found) >= want:
-                return found, tried, False
-    return found, tried, True
+            return (g, h), tried, True
+    return None, tried, True
 
 
 def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
@@ -311,6 +316,12 @@ def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
     An absent witness with exhaustive=True proves no decomposition with a
     degree-k right factor exists over the base field.
     """
+    return _rat_search(f, k, budget.candidate_cap)
+
+
+def _rat_search(f: RatFun, k: int, cap: int) -> SearchResult:
+    """rat_decompose with at most `cap` candidates: the part of the budget
+    that the degrees searched before k left over."""
     if not isinstance(f.field, PrimeField):
         raise PreconditionError("direct rational search runs over prime fields")
     if f.is_zero or f.is_constant:
@@ -318,21 +329,20 @@ def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
     deg = f.degree
     if deg % k or k < 2 or k > deg // 2:
         raise PreconditionError("k must divide deg f with 2 <= k <= deg f / 2")
-    if (f.field.char > budget.max_field_size or k > budget.max_right_degree
-            or _subspace_count(f.field.char, k) > budget.candidate_cap):
+    p = f.field.char
+    if p > _MAX_FIELD_SIZE or k > _MAX_RIGHT_DEGREE or _subspace_count(p, k) > cap:
         return SearchResult(None, False, 0)
-    found, tried, completed = _search_right_factors(f, k, budget, want=1)
-    if found:
-        return SearchResult(found[0], True, tried)
-    return SearchResult(None, completed, tried)
+    witness, tried, conclusive = _search_right_factors(f, k, cap)
+    return SearchResult(witness, conclusive, tried)
 
 
 def rat_decompose_all_k(f: RatFun, budget: OracleBudget) -> SearchResult:
-    """rat_decompose over every admissible right-factor degree, descending."""
+    """rat_decompose over every admissible right-factor degree, descending,
+    all degrees together trying at most the budget's cap."""
     tried = 0
     exhaustive = True
     for k in _right_degrees(f.degree):
-        result = rat_decompose(f, k, budget)
+        result = _rat_search(f, k, budget.candidate_cap - tried)
         tried += result.candidates
         if result.witness:
             return SearchResult(result.witness, True, tried)
@@ -392,37 +402,35 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
     """
     if f.field != QQ:
         raise PreconditionError("reduction-and-lift search runs over Q")
+    cap = budget.candidate_cap
     tried = 0
     for k in _right_degrees(f.degree):
-        if k > budget.max_right_degree:
+        if k > _MAX_RIGHT_DEGREE:
             continue
         for p in _LIFT_PRIMES:
-            if p > budget.max_field_size:
-                break
-            if _subspace_count(p, k) > budget.candidate_cap:
+            if _subspace_count(p, k) > cap:
                 continue
             image = _reduce_mod(f, p)
             if image is None:
                 continue
-            remaining = budget.candidate_cap - tried
-            if remaining <= 0:
+            if tried >= cap:
                 return SearchResult(None, False, tried)
-            slice_budget = OracleBudget(budget.max_field_size,
-                                        budget.max_right_degree, remaining)
-            found, used, _ = _search_right_factors(image, k, slice_budget, want=1)
+            witness, used, _ = _search_right_factors(image, k, cap - tried)
             tried += used
-            for _, h_bar in found:
-                u = Poly(QQ, _symmetric_lift(h_bar.numerator.coeffs, p))
-                v = Poly(QQ, _symmetric_lift(h_bar.denominator.coeffs, p))
-                if v.is_zero:
-                    continue
-                h = RatFun(u, v)
-                if h.is_zero or h.is_constant or h.degree != k:
-                    continue
-                g = solve_left_factor(f, h)
-                if g is not None:
-                    return SearchResult((g, h), True, tried)
-            # mod-p witnesses that did not lift go on to the next prime,
+            if witness is None:
+                continue
+            h_bar = witness[1]
+            u = Poly(QQ, _symmetric_lift(h_bar.numerator.coeffs, p))
+            v = Poly(QQ, _symmetric_lift(h_bar.denominator.coeffs, p))
+            if v.is_zero:
+                continue
+            h = RatFun(u, v)
+            if h.is_zero or h.is_constant or h.degree != k:
+                continue
+            g = solve_left_factor(f, h)
+            if g is not None:
+                return SearchResult((g, h), True, tried)
+            # a mod-p witness that does not lift goes on to the next prime,
             # which may reduce the true witness non-spuriously
     return SearchResult(None, False, tried)
 

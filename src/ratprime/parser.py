@@ -147,7 +147,7 @@ def format_coeff(c) -> str:
     return f"-{text}" if negative else text
 
 
-def format_poly(f: Poly, var: str = "x") -> str:
+def format_poly(f: Poly) -> str:
     """Grammar-safe polynomial text.  A leading negative term is rendered as
     a subtraction from zero, since the grammar has no unary minus."""
     if f.is_zero:
@@ -161,7 +161,7 @@ def format_poly(f: Poly, var: str = "x") -> str:
         if i == 0:
             body = text
         else:
-            power = var if i == 1 else f"{var}^{i}"
+            power = "x" if i == 1 else f"x^{i}"
             body = power if text == "1" else f"{text}*{power}"
         if not pieces:
             pieces.append(f"0-{body}" if negative else body)
@@ -174,11 +174,11 @@ def _needs_parens(text: str) -> bool:
     return any(op in text for op in "+-")
 
 
-def format_ratfun(f: RatFun, var: str = "x") -> str:
-    num = format_poly(f.numerator, var)
+def format_ratfun(f: RatFun) -> str:
+    num = format_poly(f.numerator)
     if f.denominator.degree == 0:
         return num
-    den = format_poly(f.denominator, var)
+    den = format_poly(f.denominator)
     num_part = f"({num})" if _needs_parens(num) else num
     den_part = f"({den})" if (_needs_parens(den) or "*" in den) else den
     return f"{num_part}/{den_part}"

@@ -109,35 +109,16 @@ def discriminant(f: Poly):
 # Resultants with the auxiliary variable t
 
 
-@dataclass(frozen=True)
-class XTPoly:
-    """Polynomial in x whose coefficients are polynomials in t."""
-
-    coeffs: tuple[Poly, ...]  # ascending in x
-
-    @property
-    def x_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def linear_in_t(cls, a: Poly, b: Poly) -> "XTPoly":
-        """a(x) - t * b(x) as an x-polynomial over K[t]."""
-        field = a.field
-        n = max(len(a.coeffs), len(b.coeffs))
-        cols = []
-        for i in range(n):
-            cols.append(Poly(field, (a.coeff(i), -b.coeff(i))))
-        while cols and cols[-1].is_zero:
-            cols.pop()
-        return cls(tuple(cols))
-
-
-def _tpoly_sylvester(xt: XTPoly, c: Poly) -> Poly:
-    """Res_x over K[t] by Bareiss with polynomial entries (slow, always works)."""
+def _tpoly_sylvester(a: Poly, b: Poly, c: Poly) -> Poly:
+    """Res_x(a(x) - t*b(x), c(x)) by Bareiss with entries in K[t] (slow,
+    always works)."""
     field = c.field
+    n = max(len(a.coeffs), len(b.coeffs))
+    # x-coefficients of a - t*b, descending; the leading one is nonzero
+    cols = [Poly(field, (a.coeff(i), -b.coeff(i))) for i in reversed(range(n))]
     zero = Poly.zero(field)
-    rows = _sylvester_rows(list(reversed(xt.coeffs)),
-                           [Poly.constant(field, cc) for cc in reversed(c.coeffs)], zero)
+    rows = _sylvester_rows(cols, [Poly.constant(field, cc) for cc in reversed(c.coeffs)],
+                           zero)
     return bareiss_determinant(rows, zero, Poly.one(field), poly_exact_div)
 
 
@@ -188,8 +169,7 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     _same_field(a, c)
     if c.is_zero:
         raise PreconditionError("second argument is zero")
-    xt = XTPoly.linear_in_t(a, b)
-    n = xt.x_degree
+    n = max(len(a.coeffs), len(b.coeffs)) - 1
     if n < 1:
         raise PreconditionError("first argument is constant in x")
     field = a.field
@@ -202,7 +182,7 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
         forbidden.add(field.div(a.coeff(n), b.coeff(n)))
     nodes = _nodes(field, bound + 1, forbidden)
     if nodes is None:
-        return _tpoly_sylvester(xt, c)
+        return _tpoly_sylvester(a, b, c)
     values = [resultant(a - b.scale(t0), c) for t0 in nodes]
     return interpolate(field, nodes, values)
 

@@ -40,11 +40,19 @@ def test_reduction_fixpoint():
             assert again == phi
 
 
-def test_from_table_round_trip():
+def test_from_table_round_trip(rng):
     for p in (2, 3, 5):
         for coeffs in ((0, 1, 1), (2, 1), (0, 0, 1)):
             phi = reduce_ring(Poly(PrimeField(p), coeffs))
             assert from_table(p, phi.table) == phi
+    tables = [(p, t) for p in (2, 3) for t in product(range(p), repeat=p)]
+    tables += [(p, tuple(rng.randrange(p) for _ in range(p)))
+               for p in (5, 7) for _ in range(50)]
+    for p, table in tables:
+        phi = from_table(p, table)
+        assert phi.table == table
+        assert phi.reduced.degree < p
+        assert reduce_ring(phi.reduced) == phi
 
 
 def test_ring_compose_identity():

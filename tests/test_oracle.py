@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
-                      RatFun, decompose, h_adic_expansion, parse_expression, poly_compose,
+                      RatFun, SearchResult, decompose, h_adic_expansion, parse_expression, poly_compose,
                       poly_decompose, rat_compose, rat_decompose,
                       rat_decompose_all_k, rat_decompose_via_reduction,
                       right_factor_quotient, solve_left_factor)
@@ -99,6 +101,25 @@ def test_poly_decompose_budget_exhaustion_is_distinct():
     assert not out.exhaustive
 
 
+def test_poly_decompose_skips_fields_above_13():
+    # (x^2+x) o (x^2+x) over F_17: the brute force does not run at all
+    f = parse_expression("(x^2+x)^2+x^2+x", PrimeField(17))
+    assert poly_decompose(f.numerator, OracleBudget()) == SearchResult(None, False, 0)
+
+
+def test_poly_decompose_skips_right_degrees_above_8():
+    # over Q, deg 18 tries k = 6, 3, 2 but not k = 9, so absence is open
+    out = poly_decompose(Poly(QQ, [0, 1] + [0] * 16 + [1]), OracleBudget())
+    assert out == SearchResult(None, False, 3)
+
+
+def test_oracle_budget_has_only_a_cap():
+    assert [f.name for f in fields(OracleBudget)] == ["candidate_cap"]
+    assert OracleBudget() == OracleBudget(candidate_cap=100_000)
+    with pytest.raises(PreconditionError):
+        OracleBudget(candidate_cap=0)
+
+
 def test_poly_decompose_rejects_prime_degree():
     with pytest.raises(PreconditionError):
         poly_decompose(qpoly(0, 1, 0, 1), OracleBudget())
@@ -177,6 +198,21 @@ def test_rat_decompose_budget_cap_reported():
     f = RatFun(Poly(field, [0] * 9 + [1]), Poly(field, (1, 0, 1)))
     out = rat_decompose(f, 3, OracleBudget(candidate_cap=10))
     assert out.witness is None and not out.exhaustive
+
+
+def test_rat_decompose_skips_fields_above_13():
+    f = parse_expression("(x^2+1)^2/(x^2+x)", PrimeField(17))
+    assert rat_decompose(f, 2, OracleBudget()) == SearchResult(None, False, 0)
+
+
+def test_rat_decompose_all_k_cap_is_a_total():
+    # the k = 3 space (117 candidates) fits a cap of 120; the k = 2 space
+    # (12) fits the cap but not the 3 candidates left after k = 3
+    f = parse_expression("(x^12+x+2)/(x^11+2*x^3+1)", PrimeField(3))
+    budget = OracleBudget(candidate_cap=120)
+    assert rat_decompose(f, 3, budget) == SearchResult(None, True, 117)
+    assert rat_decompose(f, 2, budget) == SearchResult(None, True, 12)
+    assert rat_decompose_all_k(f, budget) == SearchResult(None, False, 117)
 
 
 def test_rat_decompose_all_k_polynomial_right_factor():

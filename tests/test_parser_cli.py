@@ -289,6 +289,11 @@ def test_cli_precondition_exit_code(capsys, schema):
     assert report["error"]["kind"] == "precondition-violation"
     code, report = _run_json(capsys, "fq", "--p", "4", "x^2")
     assert code == 3
+    code, report = _run_json(capsys, "analyze", "--oracle-budget", "-5", "x^4+x^2")
+    assert code == 3
+    jsonschema.validate(report, schema)
+    assert report["error"]["kind"] == "precondition-violation"
+    assert "cap" in report["error"]["message"]
 
 
 def test_cli_text_mode(capsys):

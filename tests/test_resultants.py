@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from ratprime import (DegenerateDerivativeError, Poly, PreconditionError,
-                      PrimeField, QQ, RatFun, XTPoly, composite_resultant_check,
+                      PrimeField, QQ, RatFun, composite_resultant_check,
                       critical_values, disc_in_t, discriminant, interpolate,
                       poly_compose, rat_compose, rat_resultant_in_t,
                       res_x_linear_t, resultant, split_discriminant,
@@ -238,8 +238,7 @@ def test_interpolation_route_matches_direct_determinant(rng):
             f = random_poly(rng, field, rng.randint(2, 4))
             if f.derivative().is_zero:
                 continue
-            xt = XTPoly.linear_in_t(f, Poly.one(field))
-            direct = _tpoly_sylvester(xt, f.derivative())
+            direct = _tpoly_sylvester(f, Poly.one(field), f.derivative())
             assert res_x_linear_t(f, Poly.one(field), f.derivative()) == direct
 
 
@@ -253,8 +252,8 @@ def test_rational_interpolation_route_matches_direct(rng):
         if deriv.numerator.is_zero:
             continue
         count += 1
-        xt = XTPoly.linear_in_t(f.numerator, f.denominator)
-        assert rat_resultant_in_t(f) == _tpoly_sylvester(xt, deriv.numerator)
+        assert rat_resultant_in_t(f) == _tpoly_sylvester(f.numerator, f.denominator,
+                                                         deriv.numerator)
 
 
 def test_small_field_falls_back_to_direct_determinant():
@@ -262,8 +261,7 @@ def test_small_field_falls_back_to_direct_determinant():
     field = PrimeField(5)
     f = fppoly(5, 1, 2, 0, 1, 0, 0, 1)
     d = disc_in_t(f)
-    xt = XTPoly.linear_in_t(f, Poly.one(field))
-    raw = _tpoly_sylvester(xt, f.derivative())
+    raw = _tpoly_sylvester(f, Poly.one(field), f.derivative())
     assert d == raw.scale(field.div(-1, f.lc))  # n = 6: sign (-1)^15
 
 

@@ -117,10 +117,16 @@ def _fill_oracle_section(report: dict, search: SearchResult | None) -> None:
     section["candidates"] = search.candidates
 
 
+def _budget(args) -> OracleBudget | None:
+    """The --oracle-budget cap, validated; None when the flag is absent."""
+    if args.oracle_budget is None:
+        return None
+    return OracleBudget(candidate_cap=args.oracle_budget)
+
+
 def _cmd_analyze(args, report: dict) -> int:
     f = _read_function(args, report, "analysis needs degree >= 2", 2)
-    budget = OracleBudget(candidate_cap=args.oracle_budget) if args.oracle_budget else None
-    verdict = analyze(f, budget)
+    verdict = analyze(f, _budget(args))
     _fill_critical_section(report, verdict.critical)
     _fill_verdict(report, verdict)
     _fill_oracle_section(report, verdict.search)
@@ -129,9 +135,7 @@ def _cmd_analyze(args, report: dict) -> int:
 
 def _cmd_decompose(args, report: dict) -> int:
     f = _read_function(args, report, "decomposition needs degree >= 2", 2)
-    budget = OracleBudget(candidate_cap=args.oracle_budget) if args.oracle_budget \
-        else OracleBudget()
-    search = decompose(f, budget)
+    search = decompose(f, _budget(args) or OracleBudget())
     if search.witness:
         _fill_verdict(report, CompositeWitness(*search.witness))
     _fill_oracle_section(report, search)
@@ -228,7 +232,7 @@ def build_cli() -> argparse.ArgumentParser:
         cmd.add_argument("--field", default="Q", help="Q (default) or F<p>")
         cmd.add_argument("--json", action="store_true", help="emit a JSON report")
         if name in ("analyze", "decompose"):
-            cmd.add_argument("--oracle-budget", type=int, default=0, metavar="N",
+            cmd.add_argument("--oracle-budget", type=int, default=None, metavar="N",
                              help="candidate cap for the decomposition oracle")
         if name == "fq":
             cmd.add_argument("--p", type=int, default=0, help="field size (prime)")

@@ -21,9 +21,37 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+# Miller-Rabin with the first 13 prime bases is proven deterministic below
+# _MR_BOUND (Sorenson-Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for desk-scale inputs."""
-    return n >= 2 and smallest_prime_factor(n) == n
+    """Deterministic primality test: Miller-Rabin with the bases 2..41 below
+    _MR_BOUND, trial division above it."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        return smallest_prime_factor(n) == n
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_factors(n: int) -> list[int]:

@@ -1,9 +1,10 @@
-"""Brute-force decomposition search used as ground truth.
+"""Decomposition search used as ground truth.
 
 Polynomials: base-h digit expansion decides "is h a right factor" exactly;
-over F_p the right-factor space shrinks to monic candidates with zero
-constant term (degree-1 units absorb the rest), over Q the unique
-normalized candidate per degree comes from a triangular coefficient solve.
+degree-1 units shrink right factors to monic ones with zero constant term.
+A right-factor degree k is tame when the characteristic does not divide
+m = deg f / k, and then that candidate is unique and solves for the top
+coefficients of f (von zur Gathen 1990); only a wild k (p | m) brute-forces.
 
 Rational functions over F_p: right factors are enumerated up to degree-1
 units as 2-dimensional coefficient subspaces in reduced echelon form, and
@@ -34,8 +35,8 @@ from .poly import Poly, poly_compose, poly_divmod
 from .ratfun import RatFun, rat_compose
 
 
-# Brute-force limits: larger fields and right-factor degrees are skipped,
-# and a search that skips any is not exhaustive.
+# Brute-force limits (rational searches, wild polynomial degrees): larger
+# fields and right-factor degrees are skipped, so the search is not exhaustive.
 _MAX_FIELD_SIZE = 13
 _MAX_RIGHT_DEGREE = 8
 
@@ -95,7 +96,8 @@ def right_factor_quotient(f: Poly, h: Poly) -> Poly | None:
 
 def _tame_right_factor(f: Poly, k: int) -> Poly:
     """The unique monic, zero-constant-term candidate of degree k whose m-th
-    power matches the top coefficients of f/lc(f); characteristic 0 only."""
+    power matches the top coefficients of f/lc(f); it divides only by m, so it
+    is valid when p does not divide m."""
     field = f.field
     n = f.degree
     m = n // k
@@ -116,34 +118,31 @@ def _right_degrees(n: int) -> list[int]:
 
 def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
     """First verified (g, h) with f = g o h, trying right-factor degrees in
-    the canonical (descending) order."""
+    the canonical (descending) order.  A tame degree costs one candidate; a
+    wild one (p | deg f / k) costs the p^(k-1) of the brute force."""
     n = f.degree
     if n < 4 or is_prime(n):
         raise PreconditionError("decomposition search needs composite degree >= 4")
     field = f.field
+    p = field.char
     tried = 0
     exhaustive = True
     for k in _right_degrees(n):
-        if k > _MAX_RIGHT_DEGREE:
+        wild = p and (n // k) % p == 0
+        if (wild and (p > _MAX_FIELD_SIZE or k > _MAX_RIGHT_DEGREE)
+                or tried + (p ** (k - 1) if wild else 1) > budget.candidate_cap):
             exhaustive = False
             continue
-        if field.char == 0:
+        if wild:
+            candidates = (Poly(field, (0,) + tail + (1,))
+                          for tail in product(range(p), repeat=k - 1))
+        else:
+            candidates = (_tame_right_factor(f, k),)
+        for h in candidates:
             tried += 1
-            h = _tame_right_factor(f, k)
             g = right_factor_quotient(f, h)
             if g is not None:
                 return SearchResult((g, h), True, tried)
-        else:
-            p = field.char
-            if p > _MAX_FIELD_SIZE or tried + p ** (k - 1) > budget.candidate_cap:
-                exhaustive = False
-                continue
-            for tail in product(range(p), repeat=k - 1):
-                tried += 1
-                h = Poly(field, (0,) + tail + (1,))
-                g = right_factor_quotient(f, h)
-                if g is not None:
-                    return SearchResult((g, h), True, tried)
     return SearchResult(None, exhaustive, tried)
 
 

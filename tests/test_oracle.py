@@ -1,6 +1,8 @@
 from dataclasses import fields
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
                       RatFun, SearchResult, decompose, h_adic_expansion, parse_expression, poly_compose,
@@ -8,7 +10,8 @@ from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
                       rat_decompose_all_k, rat_decompose_via_reduction,
                       right_factor_quotient, solve_left_factor)
 from ratprime.errors import FieldMismatchError
-from conftest import fppoly, qpoly, random_poly
+from ratprime.oracle import _right_degrees, _tame_right_factor
+from conftest import field_of, fppoly, from_sympy, qpoly, random_poly, to_sympy, untimed
 
 
 def _reconstruct(digits, h):
@@ -80,11 +83,16 @@ def test_poly_decompose_rational_quartic():
     assert out.exhaustive
 
 
+# x^25 + x^2 over F_5: its one right-factor degree, 5, is wild (5 | 25/5),
+# so only the brute force can decide it
+_WILD_MOD5 = fppoly(5, 0, 0, 1, *[0] * 22, 1)
+
+
 def test_poly_decompose_exhaustive_absence_mod5():
-    out = poly_decompose(fppoly(5, 0, 1, 0, 0, 1), OracleBudget())
+    out = poly_decompose(_WILD_MOD5, OracleBudget())
     assert out.witness is None
     assert out.exhaustive
-    assert out.candidates == 5  # monic x^2 + bx candidates only
+    assert out.candidates == 625  # monic x^5 + ... + bx candidates only
 
 
 def test_poly_decompose_monomial_split_mod5():
@@ -95,22 +103,107 @@ def test_poly_decompose_monomial_split_mod5():
 
 
 def test_poly_decompose_budget_exhaustion_is_distinct():
-    # cap of 3 cannot cover the 5 degree-2 candidates over F_5
-    out = poly_decompose(fppoly(5, 0, 1, 0, 0, 1), OracleBudget(candidate_cap=3))
+    # cap of 3 cannot cover the 625 wild degree-5 candidates over F_5
+    out = poly_decompose(_WILD_MOD5, OracleBudget(candidate_cap=3))
     assert out.witness is None
     assert not out.exhaustive
 
 
 def test_poly_decompose_skips_fields_above_13():
-    # (x^2+x) o (x^2+x) over F_17: the brute force does not run at all
-    f = parse_expression("(x^2+x)^2+x^2+x", PrimeField(17))
+    # (x^17+x) o (x^17+x) over F_17: its one right-factor degree is wild
+    # (17 | 289/17), and the brute force does not run at all
+    f = parse_expression("(x^17+x)^17+x^17+x", PrimeField(17))
     assert poly_decompose(f.numerator, OracleBudget()) == SearchResult(None, False, 0)
 
 
 def test_poly_decompose_skips_right_degrees_above_8():
-    # over Q, deg 18 tries k = 6, 3, 2 but not k = 9, so absence is open
-    out = poly_decompose(Poly(QQ, [0, 1] + [0] * 16 + [1]), OracleBudget())
-    assert out == SearchResult(None, False, 3)
+    # over F_2, deg 18 tries k = 6 and 2 (tame, one candidate each) and
+    # k = 3 (wild, 4 candidates) but not the wild k = 9, so absence is open
+    out = poly_decompose(Poly(PrimeField(2), [0, 1] + [0] * 16 + [1]), OracleBudget())
+    assert out == SearchResult(None, False, 6)
+
+
+def test_poly_decompose_tame_over_large_field():
+    f = parse_expression("(x^3+x+1)^4+x^3+x", PrimeField(1_000_003)).numerator
+    out = poly_decompose(f, OracleBudget())
+    g, h = out.witness
+    assert poly_compose(g, h) == f
+    assert h == fppoly(1_000_003, 0, 1, 0, 1)
+    assert out == SearchResult((g, h), True, 3)  # k = 6, 4, then 3
+
+
+@pytest.mark.parametrize("p, expr, candidates", [(17, "x^4+x", 1),
+                                                 (1_000_003, "x^12+x", 4)])
+def test_poly_decompose_tame_absence_above_13_is_exhaustive(p, expr, candidates):
+    f = parse_expression(expr, PrimeField(p)).numerator
+    assert poly_decompose(f, OracleBudget()) == SearchResult(None, True, candidates)
+
+
+def test_poly_decompose_tame_degree_above_8_over_q():
+    # x^18 + x: k = 9, 6, 3, 2 are all tried, one candidate each
+    f = Poly(QQ, [0, 1] + [0] * 16 + [1])
+    assert poly_decompose(f, OracleBudget()) == SearchResult(None, True, 4)
+    # each tame degree counts against the cap
+    assert poly_decompose(f, OracleBudget(candidate_cap=2)) == SearchResult(None, False, 2)
+    f = parse_expression("(x^9+x)^2+1", QQ).numerator
+    out = poly_decompose(f, OracleBudget())
+    assert out == SearchResult((qpoly(1, 0, 1), qpoly(0, 1, *[0] * 7, 1)), True, 1)
+
+
+def test_tame_right_factor_matches_brute_force(rng):
+    # on every tame degree over F_3, F_5 and F_7, the one tame candidate is a
+    # right factor exactly when some brute-force candidate is
+    for p in (3, 5, 7):
+        field = PrimeField(p)
+        for _ in range(12):
+            if rng.random() < 0.5:
+                f = random_poly(rng, field, rng.choice((4, 6, 8, 9)))
+            else:
+                f = poly_compose(random_poly(rng, field, rng.randint(2, 3)),
+                                 random_poly(rng, field, rng.randint(2, 3)))
+            n = f.degree
+            for k in _right_degrees(n):
+                if (n // k) % p == 0:
+                    continue
+                brute = any(right_factor_quotient(f, Poly(field, (0,) + tail + (1,)))
+                            for tail in product(range(p), repeat=k - 1))
+                assert (right_factor_quotient(f, _tame_right_factor(f, k)) is not None) == brute
+
+
+@st.composite
+def _sympy_decompose_case(draw):
+    # p > deg f (at most 16), where sympy's decompose divides only by units
+    p = draw(st.sampled_from([0, 17, 19, 1_000_003]))
+    coeff = st.integers(-4, 4) if p == 0 else st.integers(0, p - 1)
+
+    def poly(degree):
+        lc = draw(coeff.filter(lambda c: c % p if p else c))
+        return Poly(field_of(p), draw(st.lists(coeff, min_size=degree, max_size=degree)) + [lc])
+
+    if draw(st.booleans()):
+        return p, poly_compose(poly(draw(st.integers(2, 4))), poly(draw(st.integers(2, 4))))
+    return p, poly(draw(st.sampled_from([4, 6, 8, 9, 10, 12])))
+
+
+@untimed
+@given(_sympy_decompose_case())
+def test_poly_decompose_matches_sympy(case):
+    p, f = case
+    out = poly_decompose(f, OracleBudget())
+    assert out.exhaustive  # every right-factor degree is tame when p > deg f
+    reference = [from_sympy(p, c) for c in to_sympy(p, f.coeffs).decompose()]
+    composed = reference[-1]
+    for left in reversed(reference[:-1]):
+        composed = poly_compose(left, composed)
+    # sympy's factors count only once they recompose exactly to f; sympy
+    # 1.14 misses most right factors of degree 3 or more, and a witness it
+    # lacks is judged by the composition check below, not by sympy
+    sympy_found = len(reference) > 1 and composed == f
+    if out.witness is None:
+        assert not sympy_found
+    else:
+        g, h = out.witness
+        assert poly_compose(g, h) == f and g.degree >= 2 and h.degree >= 2
 
 
 def test_oracle_budget_has_only_a_cap():

@@ -167,10 +167,11 @@ def test_cli_analyze_with_oracle(capsys, schema):
 
 
 def test_cli_analyze_reports_budget_exhaustion(capsys, schema):
-    # composite of degree 8 over F_7 that no certificate covers; a cap of 5
-    # candidates is too small for either right-factor degree
-    code, report = _run_json(capsys, "analyze", "--field", "F7", "--oracle-budget", "5",
-                             "(x^4+x+3)^2+(x^4+x+3)")
+    # composite of degree 9 over F_3 that no certificate covers; its one
+    # right-factor degree is wild (3 | 9/3), and a cap of 5 candidates is
+    # too small for its 9
+    code, report = _run_json(capsys, "analyze", "--field", "F3", "--oracle-budget", "5",
+                             "(x^3+x+1)^3+(x^3+x+1)")
     assert code == 0
     jsonschema.validate(report, schema)
     assert report["verdict"]["kind"] == "Unknown"
@@ -294,6 +295,18 @@ def test_cli_precondition_exit_code(capsys, schema):
     jsonschema.validate(report, schema)
     assert report["error"]["kind"] == "precondition-violation"
     assert "cap" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_cli_oracle_budget_zero_is_rejected(capsys, schema, command):
+    # 0 used to mean "no oracle" for analyze and the default cap for decompose
+    code, report = _run_json(capsys, command, "--field", "F3", "--oracle-budget", "0",
+                             "(x^12+x+2)/(x^11+2*x^3+1)")
+    assert code == 3
+    jsonschema.validate(report, schema)
+    assert report["error"]["kind"] == "precondition-violation"
+    assert "cap" in report["error"]["message"]
+    assert report["oracle"]["status"] == "unused"
 
 
 def test_cli_text_mode(capsys):

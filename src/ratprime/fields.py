@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import index
 
 from .errors import PreconditionError
-from .numutil import is_prime
+from .numutil import _MR_BOUND, is_prime
 
 
 class Field:
@@ -59,6 +59,8 @@ class PrimeField(Field):
     """The field F_p for prime p, with int scalars in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= _MR_BOUND:  # above it is_prime falls back to trial division
+            raise PreconditionError(f"field modulus must be below {_MR_BOUND}")
         if not is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         self.p = p
@@ -99,6 +101,9 @@ def parse_field(name: str) -> Field:
     """Map a field flag ("Q", "F5", ...) to a descriptor."""
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
+    if name.startswith("F") and name[1:].isdecimal():
+        # more digits than the bound: never ask int() to convert them
+        if len(name[1:].lstrip("0")) > len(str(_MR_BOUND)):
+            raise PreconditionError(f"field modulus must be below {_MR_BOUND}")
         return PrimeField(int(name[1:]))
     raise PreconditionError(f"unknown field {name!r}; expected Q or F<p>")

@@ -17,7 +17,7 @@ from math import factorial
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField
 from ._intpoly import mod_eval
-from .poly import Poly, poly_compose
+from .poly import Poly
 from .resultants import interpolate
 
 
@@ -95,10 +95,9 @@ def identity_function(p: int) -> FqFunction:
 
 
 def ring_compose(alpha: FqFunction, beta: FqFunction) -> FqFunction:
-    """alpha o beta as functions; the representative is re-reduced."""
+    """alpha o beta as functions: the composed table, interpolated."""
     _same_p(alpha, beta)
-    return FqFunction(p=alpha.p, table=tuple(alpha.table[b] for b in beta.table),
-                      reduced=_fold(poly_compose(alpha.reduced, beta.reduced)))
+    return from_table(alpha.p, [alpha.table[b] for b in beta.table])
 
 
 def is_permutation(phi: FqFunction) -> bool:

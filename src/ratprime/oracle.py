@@ -10,15 +10,16 @@ Rational functions over F_p: right factors are enumerated up to degree-1
 units as 2-dimensional coefficient subspaces in reduced echelon form, and
 the left factor, once h is fixed, is the kernel of an exact linear system;
 both run on int residues (`_intpoly`), and the same solver serves Q.
-Over Q the same search runs on a good-reduction image mod p and candidate
-witnesses are lifted symmetrically and re-verified exactly; absence of a
-witness over Q is therefore never claimed to be exhaustive.
+Over Q the same search runs on good-reduction images mod small primes and
+candidate witnesses are lifted symmetrically and re-verified exactly;
+absence of a witness over Q is therefore never claimed to be exhaustive.
 
 "Budget exhausted" and "exhaustively absent" are distinct outcomes; the
 exhaustive flag is what lets the primality soundness tests treat an absent
 witness as a proof.  The budget's candidate cap bounds one whole search,
-across every right-factor degree and lift prime.  `decompose` picks the
-right search for a given f.
+across every right-factor degree and lift prime.  Every rational route runs
+`_rat_search`, where a space (one right-factor degree, over Q at one lift
+prime) is searched whole or not at all.  `decompose` picks the search for f.
 """
 
 from __future__ import annotations
@@ -278,23 +279,16 @@ def _verified(f: RatFun, h: RatFun, pp: list, q: list) -> RatFun | None:
     return g if rat_compose(g, h) == f else None
 
 
-def _search_right_factors(f: RatFun, k: int, cap: int) -> tuple[tuple | None, int, bool]:
-    """Enumerate at most `cap` canonical right factors of degree k over F_p,
-    returning the first fully verified witness pair (or None), the number of
-    candidates tried, and whether the search is conclusive (a witness, or
-    the whole space enumerated)."""
+def _search_right_factors(f: RatFun, k: int) -> tuple[tuple | None, int]:
+    """Enumerate the whole canonical space of degree-k right factors over F_p,
+    returning the first fully verified witness pair (or None) and the number
+    of candidates tried."""
     field = f.field
     p = field.char
-    deg = f.degree
-    m = deg // k
-    f1 = f.numerator.coeffs
-    f2 = f.denominator.coeffs
+    m = f.degree // k
+    f1, f2 = f.numerator.coeffs, f.denominator.coeffs
     f_table = _projective_table(f1, f2, p)
-    tried = 0
-    for u, v in _canonical_right_factors(p, k):
-        if tried >= cap:
-            return None, tried, False
-        tried += 1
+    for tried, (u, v) in enumerate(_canonical_right_factors(p, k), 1):
         if len(mod_gcd(u, v, p)) > 1:
             continue
         if not _fibers_respected(u, v, f_table, p):
@@ -305,8 +299,30 @@ def _search_right_factors(f: RatFun, k: int, cap: int) -> tuple[tuple | None, in
         h = RatFun(Poly(field, u), Poly(field, v))
         g = _verified(f, h, *sol)
         if g is not None:
-            return (g, h), tried, True
-    return None, tried, True
+            return (g, h), tried
+    return None, _subspace_count(p, k)
+
+
+def _rat_search(f: RatFun, degrees, cap: int) -> SearchResult:
+    """The one rational search over F_p: each right-factor degree k, in the
+    order given, searches its whole canonical space when p and k are within
+    the brute-force limits and the space fits in what is left of `cap`.  A
+    space that does not run makes an absent witness non-exhaustive."""
+    if not isinstance(f.field, PrimeField):
+        raise PreconditionError("direct rational search runs over prime fields")
+    p = f.field.char
+    tried = 0
+    exhaustive = True
+    for k in degrees:
+        if (p > _MAX_FIELD_SIZE or k > _MAX_RIGHT_DEGREE
+                or _subspace_count(p, k) > cap - tried):
+            exhaustive = False
+            continue
+        witness, used = _search_right_factors(f, k)
+        tried += used
+        if witness:
+            return SearchResult(witness, True, tried)
+    return SearchResult(None, exhaustive, tried)
 
 
 def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
@@ -315,38 +331,18 @@ def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
     An absent witness with exhaustive=True proves no decomposition with a
     degree-k right factor exists over the base field.
     """
-    return _rat_search(f, k, budget.candidate_cap)
-
-
-def _rat_search(f: RatFun, k: int, cap: int) -> SearchResult:
-    """rat_decompose with at most `cap` candidates: the part of the budget
-    that the degrees searched before k left over."""
-    if not isinstance(f.field, PrimeField):
-        raise PreconditionError("direct rational search runs over prime fields")
     if f.is_zero or f.is_constant:
         raise PreconditionError("nonconstant function required")
     deg = f.degree
     if deg % k or k < 2 or k > deg // 2:
         raise PreconditionError("k must divide deg f with 2 <= k <= deg f / 2")
-    p = f.field.char
-    if p > _MAX_FIELD_SIZE or k > _MAX_RIGHT_DEGREE or _subspace_count(p, k) > cap:
-        return SearchResult(None, False, 0)
-    witness, tried, conclusive = _search_right_factors(f, k, cap)
-    return SearchResult(witness, conclusive, tried)
+    return _rat_search(f, [k], budget.candidate_cap)
 
 
 def rat_decompose_all_k(f: RatFun, budget: OracleBudget) -> SearchResult:
     """rat_decompose over every admissible right-factor degree, descending,
     all degrees together trying at most the budget's cap."""
-    tried = 0
-    exhaustive = True
-    for k in _right_degrees(f.degree):
-        result = _rat_search(f, k, budget.candidate_cap - tried)
-        tried += result.candidates
-        if result.witness:
-            return SearchResult(result.witness, True, tried)
-        exhaustive = exhaustive and result.exhaustive
-    return SearchResult(None, exhaustive, tried)
+    return _rat_search(f, _right_degrees(f.degree), budget.candidate_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +359,6 @@ def _reduce_mod(f: RatFun, p: int) -> RatFun | None:
         num = Poly(field, f.numerator.coeffs)
         den = Poly(field, f.denominator.coeffs)
     except ZeroDivisionError:
-        return None
-    if num.degree != f.numerator.degree or den.degree != f.denominator.degree:
         return None
     image = RatFun(num, den)
     if (image.numerator.degree != f.numerator.degree
@@ -401,30 +395,20 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
     """
     if f.field != QQ:
         raise PreconditionError("reduction-and-lift search runs over Q")
-    cap = budget.candidate_cap
     tried = 0
     for k in _right_degrees(f.degree):
-        if k > _MAX_RIGHT_DEGREE:
-            continue
         for p in _LIFT_PRIMES:
-            if _subspace_count(p, k) > cap:
-                continue
             image = _reduce_mod(f, p)
             if image is None:
                 continue
-            if tried >= cap:
-                return SearchResult(None, False, tried)
-            witness, used, _ = _search_right_factors(image, k, cap - tried)
-            tried += used
-            if witness is None:
+            search = _rat_search(image, [k], budget.candidate_cap - tried)
+            tried += search.candidates
+            if search.witness is None:
                 continue
-            h_bar = witness[1]
-            u = Poly(QQ, _symmetric_lift(h_bar.numerator.coeffs, p))
-            v = Poly(QQ, _symmetric_lift(h_bar.denominator.coeffs, p))
-            if v.is_zero:
-                continue
-            h = RatFun(u, v)
-            if h.is_zero or h.is_constant or h.degree != k:
+            h_bar = search.witness[1]
+            h = RatFun(Poly(QQ, _symmetric_lift(h_bar.numerator.coeffs, p)),
+                       Poly(QQ, _symmetric_lift(h_bar.denominator.coeffs, p)))
+            if h.degree != k:
                 continue
             g = solve_left_factor(f, h)
             if g is not None:

@@ -39,9 +39,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < len(source) and source[j].isdigit():
+            while j < len(source) and source[j].isdecimal():
                 j += 1
             tokens.append(("int", source[i:j], i))
             i = j
@@ -76,6 +76,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def natural(tok) -> int:
+        """An integer token's value; past int()'s digit limit, a parse error."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ParseError(f"literal of {len(tok[1])} digits is too long", tok[2]) from None
+
     def expr(self) -> RatFun:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
@@ -101,8 +109,7 @@ class _Parser:
         value = self.base()
         if self.peek()[0] == "^":
             self.take("^")
-            exp = self.take("int")
-            value = value ** int(exp[1])
+            value = value ** self.natural(self.take("int"))
         return value
 
     def base(self) -> RatFun:
@@ -111,8 +118,7 @@ class _Parser:
             self.take("x")
             return RatFun(Poly.x(self.field))
         if tok[0] == "int":
-            self.take("int")
-            return RatFun.constant(self.field, int(tok[1]))
+            return RatFun.constant(self.field, self.natural(self.take("int")))
         if tok[0] == "(":
             self.take("(")
             value = self.expr()

@@ -72,3 +72,13 @@ def test_parse_field():
 
 def test_field_elements_enumeration():
     assert list(PrimeField(3).elements()) == [0, 1, 2]
+
+
+def test_prime_field_rejects_moduli_above_the_primality_bound():
+    # 2^89 - 1 is prime, but above the deterministic Miller-Rabin bound only
+    # trial division could confirm it
+    with pytest.raises(PreconditionError, match="3317044064679887385961981"):
+        PrimeField(2**89 - 1)
+    with pytest.raises(PreconditionError, match="3317044064679887385961981"):
+        parse_field("F" + "7" * 5000)
+    assert parse_field("F000005") == PrimeField(5)

@@ -4,7 +4,7 @@ import pytest
 
 from ratprime import (FqClass, Poly, PreconditionError, PrimeField,
                       all_functions, classify, count_permutations, from_table,
-                      identity_function, is_permutation, reduce_ring,
+                      identity_function, is_permutation, poly_compose, reduce_ring,
                       ring_compose, zero_divisor_witness)
 from conftest import fppoly
 
@@ -162,3 +162,14 @@ def test_count_permutations_small():
     assert count_permutations(3) == 6
     with pytest.raises(PreconditionError):
         count_permutations(7)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ring_compose_matches_polynomial_composition(rng, p):
+    # the reference is the composition of the reduced representatives,
+    # folded back below degree p
+    for _ in range(25):
+        alpha, beta = (from_table(p, [rng.randrange(p) for _ in range(p)]) for _ in "ab")
+        composed = ring_compose(alpha, beta)
+        assert composed == reduce_ring(poly_compose(alpha.reduced, beta.reduced))
+        assert all(composed(a) == alpha(beta(a)) for a in range(p))

@@ -336,6 +336,15 @@ def test_lift_never_claims_exhaustive_absence():
     assert not out.exhaustive
 
 
+def test_lift_searches_whole_spaces_only():
+    # k = 3 has 775 canonical candidates mod 5 and 2793 mod 7; a cap of 3000
+    # runs the first space and skips the second rather than cutting it short
+    f = RatFun(Poly(QQ, [0] * 9 + [1]), qpoly(1, 0, 1))
+    assert rat_decompose_via_reduction(f, OracleBudget(candidate_cap=3000)) == \
+        SearchResult(None, False, 775)
+    assert rat_decompose_via_reduction(f, OracleBudget()) == SearchResult(None, False, 50588)
+
+
 def test_solve_left_factor_unique():
     f = parse_expression("(x^4+1)^3*(x^4+x^2+2)/(x^2+1)^4", QQ)
     h = RatFun(qpoly(1, 0, 0, 0, 1), qpoly(1, 0, 1))

@@ -130,6 +130,24 @@ def schema():
     return json.loads(text)
 
 
+def test_cli_field_above_the_primality_bound_is_a_precondition_error(capsys, schema):
+    code, report = _run_json(capsys, "analyze", "--field", "F" + "7" * 5000, "x^4+x")
+    assert code == 3
+    jsonschema.validate(report, schema)
+    assert report["error"]["kind"] == "precondition-violation"
+    assert "3317044064679887385961981" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("expr", ["x^4+" + "7" * 5000, "x^" + "7" * 5000],
+                         ids=["literal", "exponent"])
+def test_cli_literal_past_the_int_digit_limit_is_a_parse_error(capsys, schema, expr):
+    code, report = _run_json(capsys, "analyze", expr)
+    assert code == 2
+    jsonschema.validate(report, schema)
+    assert report["error"]["kind"] == "parse-error"
+    assert report["error"]["message"].endswith(f"(at position {expr.index('7')})")
+
+
 def test_cli_analyze_worked_example(capsys, schema):
     code, report = _run_json(capsys, "analyze", "--field", "Q", "(x+1)^4/x^3")
     assert code == 0

@@ -70,8 +70,9 @@ def pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     r = list(f)
     for k in range(df - dg, -1, -1):
         c = r[k + dg]
-        for i in range(len(r)):
-            r[i] *= lead
+        if lead != 1:
+            for i in range(len(r)):
+                r[i] *= lead
         for i in range(dg + 1):
             r[k + i] -= c * g[i]
     return trim(r)
@@ -198,8 +199,8 @@ def mod_gcd(a: list, b: list, p: int) -> list:
     neither leading coefficient and the images mod EXIT_PRIME are coprime,
     the gcd is 1 (exact, see the module docstring).  Otherwise the answer is
     the primitive PRS.  Mod p remainders are reduced in place without
-    quotients: the oracle runs this on every candidate right factor, and
-    going through `mod_divmod` made that about a third slower."""
+    quotients: going through `mod_divmod` made the oracle's many small
+    gcds about a third slower."""
     if not p:
         a, b = _clear(a)[0], _clear(b)[0]
         q = EXIT_PRIME

@@ -1,45 +1,44 @@
 """Decomposition search used as ground truth.
 
-Polynomials: base-h digit expansion decides "is h a right factor" exactly;
-degree-1 units shrink right factors to monic ones with zero constant term.
+Polynomials: base-h digit expansion decides "is h a right factor" exactly.
 A right-factor degree k is tame when the characteristic does not divide
-m = deg f / k, and then that candidate is unique and solves for the top
-coefficients of f (von zur Gathen 1990); only a wild k (p | m) brute-forces.
+m = deg f / k, and then the one candidate solves for the top coefficients of
+f (von zur Gathen 1990); a wild k (p | m) tries divisors of f - f(0).
 
-Rational functions over F_p: right factors are enumerated up to degree-1
-units as 2-dimensional coefficient subspaces in reduced echelon form, and
-the left factor, once h is fixed, is the kernel of an exact linear system;
-both run on int residues (`_intpoly`), and the same solver serves Q.
-Over Q the same search runs on good-reduction images mod small primes and
-candidate witnesses are lifted symmetrically and re-verified exactly;
-absence of a witness over Q is therefore never claimed to be exhaustive.
+Rational functions over F_p: right factors are taken up to degree-1 units,
+as reduced echelon pairs (u monic of degree k with zero coefficient at
+deg v, v monic of lower degree).  Every class holds a u/v whose u and v
+divide fiber polynomials of f (Alonso-Gutierrez-Recio 1995); the F_p
+factorization in `squarefree` lists those divisors, and shifted to echelon
+form they give each degree a finite, complete candidate set of known size,
+at any p and k.  The left factor, once
+h is fixed, is the kernel of an exact linear system on int residues
+(`_intpoly`); the same solver serves Q.  Over Q the search runs on
+good-reduction images mod small primes, and witnesses are lifted
+symmetrically and re-verified exactly, so absence over Q is never claimed to
+be exhaustive.
 
-"Budget exhausted" and "exhaustively absent" are distinct outcomes; the
-exhaustive flag is what lets the primality soundness tests treat an absent
-witness as a proof.  The budget's candidate cap bounds one whole search,
-across every right-factor degree and lift prime.  Every rational route runs
-`_rat_search`, where a space (one right-factor degree, over Q at one lift
-prime) is searched whole or not at all.  `decompose` picks the search for f.
+"Budget exhausted" and "exhaustively absent" are distinct outcomes; only
+the second lets an absent witness count as a proof.  The budget's
+candidate cap bounds one whole search, across every right-factor
+degree and lift prime; a space (one degree, over Q at one lift prime) runs
+whole or not at all.  `decompose` picks the search for f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import product, zip_longest
 
-from ._intpoly import mod_eval, mod_gcd, mod_mul
+from ._intpoly import mod_gcd, mod_mul
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField, QQ
 from .numutil import is_prime, proper_composite_divisors
-from .poly import Poly, poly_compose, poly_divmod
+from .poly import Poly, poly_compose, poly_divmod, poly_exact_div
 from .ratfun import RatFun, rat_compose
-
-
-# Brute-force limits (rational searches, wild polynomial degrees): larger
-# fields and right-factor degrees are skipped, so the search is not exhaustive.
-_MAX_FIELD_SIZE = 13
-_MAX_RIGHT_DEGREE = 8
+from .squarefree import divisor_counts, divisors, irreducible_factors
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,70 @@ class SearchResult:
     witness: tuple | None
     exhaustive: bool
     candidates: int
+
+
+# ---------------------------------------------------------------------------
+# Right-factor candidates over F_p, from divisors of fiber polynomials
+
+
+class _RightFactors:
+    """Complete candidate sets of right factors h = u/v of f over F_p.
+
+    A degree-1 unit on the left makes h(inf) = inf and h(a) = 0, where a is
+    the first point with f(a) != f(inf), and u, v monic: one pair per class.
+    Then u (degree k) divides the fiber polynomial d*num - c*den of f over
+    f(a) = (c : d), and v (degree < k) the one over f(inf); fibers over
+    distinct values are coprime.  If f is constant on P^1(F_p), no a exists
+    and u runs over every echelon u, so only then can u and v share a factor
+    (`fallback`).  The factorizations run once, on first use, for every k.
+    """
+
+    def __init__(self, f: RatFun):
+        self.f = f
+        self.p = f.field.char
+
+    @cached_property
+    def _fibers(self):
+        num, den = self.f.numerator, self.f.denominator
+        n = self.f.degree
+        top = max(_right_degrees(n), default=1)  # no candidate divisor is larger
+        at_infinity = num.scale(den.coeff(n)) - den.scale(num.coeff(n))
+        poles = irreducible_factors(at_infinity, top)
+        a = next((a for a in range(self.p) if at_infinity(a)), None)
+        if a is None:
+            return None, None, poles
+        at_a = num.scale(den(a)) - den.scale(num(a))
+        # u = (x - a) w for a divisor w of the rest of that fiber
+        return a, irreducible_factors(poly_exact_div(at_a, Poly(num.field, (-a, 1))), top), poles
+
+    @property
+    def fallback(self) -> bool:
+        return self._fibers[0] is None
+
+    def size(self, k: int) -> int:
+        """The number of (u, v) pairs of degree k."""
+        a, zeros, poles = self._fibers
+        us = self.p ** (k - 1) if a is None else divisor_counts(zeros, k - 1)[k - 1]
+        return us * sum(divisor_counts(poles, k - 1))
+
+    def candidates(self, k: int):
+        """The pairs of degree k shifted to their echelon representatives
+        (u - u_{deg v} v, v), in the order of the whole echelon space: by
+        deg v, then v's and u's free coefficients, constant term first."""
+        a, zeros, poles = self._fibers
+        p = self.p
+        if a is not None:
+            normalized = [mod_mul([-a % p, 1], w, p) for w in divisors(zeros, k - 1, p)]
+        for v in sorted((v for d in range(k) for v in divisors(poles, d, p)),
+                        key=lambda v: (len(v), v)):
+            dv = len(v) - 1
+            if a is None:
+                us = ([*free[:dv], 0, *free[dv:], 1] for free in product(range(p), repeat=k - 1))
+            else:
+                us = sorted(([(c - u[dv] * b) % p for c, b in zip_longest(u, v, fillvalue=0)]
+                             for u in normalized), key=lambda u: u[:dv] + u[dv + 1:])
+            for u in us:
+                yield u, v
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +183,22 @@ def _right_degrees(n: int) -> list[int]:
 def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
     """First verified (g, h) with f = g o h, trying right-factor degrees in
     the canonical (descending) order.  A tame degree costs one candidate; a
-    wild one (p | deg f / k) costs the p^(k-1) of the brute force."""
+    wild one (p | deg f / k) costs the divisors of f - f(0) of degree k."""
     n = f.degree
     if n < 4 or is_prime(n):
         raise PreconditionError("decomposition search needs composite degree >= 4")
     field = f.field
     p = field.char
+    spaces = _RightFactors(RatFun(f))
     tried = 0
     exhaustive = True
     for k in _right_degrees(n):
         wild = p and (n // k) % p == 0
-        if (wild and (p > _MAX_FIELD_SIZE or k > _MAX_RIGHT_DEGREE)
-                or tried + (p ** (k - 1) if wild else 1) > budget.candidate_cap):
+        if tried + (spaces.size(k) if wild else 1) > budget.candidate_cap:
             exhaustive = False
             continue
         if wild:
-            candidates = (Poly(field, (0,) + tail + (1,))
-                          for tail in product(range(p), repeat=k - 1))
+            candidates = (Poly(field, u) for u, _ in spaces.candidates(k))
         else:
             candidates = (_tame_right_factor(f, k),)
         for h in candidates:
@@ -150,46 +212,6 @@ def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
 # ---------------------------------------------------------------------------
 # Rational decomposition over F_p, on int residues (ascending coefficients);
 # the kernel and the left-factor solve also take Fractions (p = 0) for Q
-
-
-def _projective_table(num: list[int], den: list[int], p: int) -> list[int]:
-    """Value of num/den at 0..p-1 and infinity; p encodes the point at
-    infinity as a value.  Assumes gcd(num, den) = 1."""
-    table = []
-    for a in range(p):
-        bottom = mod_eval(den, a, p)
-        if bottom:
-            table.append((mod_eval(num, a, p) * pow(bottom, -1, p)) % p)
-        else:
-            table.append(p)
-    dn, dd = len(num) - 1, len(den) - 1
-    if dn > dd:
-        table.append(p)
-    elif dn < dd:
-        table.append(0)
-    else:
-        table.append((num[-1] * pow(den[-1], -1, p)) % p)
-    return table
-
-
-def _fibers_respected(u: list[int], v: list[int], f_table: list[int], p: int) -> bool:
-    """Necessary condition for f = g o (u/v): points identified by u/v must
-    already be identified by f (as maps on the projective line)."""
-    groups: dict[int, int] = {}
-    for a in range(p):
-        bottom = mod_eval(v, a, p)
-        if bottom:
-            hv = (mod_eval(u, a, p) * pow(bottom, -1, p)) % p
-        else:
-            hv = p
-        fv = f_table[a]
-        if hv in groups:
-            if groups[hv] != fv:
-                return False
-        else:
-            groups[hv] = fv
-    # u is monic of full degree and deg v < deg u, so infinity maps to infinity
-    return groups.get(p, f_table[p]) == f_table[p]
 
 
 def _kernel(rows: list[list], ncols: int, p: int) -> list[list]:
@@ -232,27 +254,6 @@ def _kernel(rows: list[list], ncols: int, p: int) -> list[list]:
     return basis
 
 
-def _subspace_count(p: int, k: int) -> int:
-    """Size of the canonical degree-k right-factor space over F_p."""
-    return p ** (k - 1) * (p ** k - 1) // (p - 1)
-
-
-def _canonical_right_factors(p: int, k: int):
-    """Degree-k right factors up to composition with degree-1 units.
-
-    Each class corresponds to the 2-dimensional coefficient subspace
-    spanned by numerator and denominator; reduced echelon bases (u monic of
-    degree k with zero coefficient at deg v, v monic of lower degree)
-    enumerate every such subspace exactly once, in a fixed order.
-    """
-    for dv in range(k):
-        for v_tail in product(range(p), repeat=dv):
-            v = list(v_tail) + [1]
-            for u_free in product(range(p), repeat=k - 1):
-                u = list(u_free[:dv]) + [0] + list(u_free[dv:]) + [1]
-                yield u, v
-
-
 def _left_factor(f1: list, f2: list, u: list, v: list, m: int, p: int):
     """Solve f1 * Qh - f2 * Ph = 0 for the coefficients of g = P/Q, where
     Ph, Qh homogenize P, Q with (u, v), over F_p on int residues or over Q
@@ -279,49 +280,35 @@ def _verified(f: RatFun, h: RatFun, pp: list, q: list) -> RatFun | None:
     return g if rat_compose(g, h) == f else None
 
 
-def _search_right_factors(f: RatFun, k: int) -> tuple[tuple | None, int]:
-    """Enumerate the whole canonical space of degree-k right factors over F_p,
-    returning the first fully verified witness pair (or None) and the number
-    of candidates tried."""
+def _rat_search(spaces: _RightFactors, degrees, cap: int) -> SearchResult:
+    """The one rational search over F_p: each right-factor degree k of
+    spaces.f, in the order given, tries its whole candidate space when it
+    fits in what is left of `cap`.  A space that does not run makes an
+    absent witness non-exhaustive."""
+    f = spaces.f
     field = f.field
-    p = field.char
-    m = f.degree // k
-    f1, f2 = f.numerator.coeffs, f.denominator.coeffs
-    f_table = _projective_table(f1, f2, p)
-    for tried, (u, v) in enumerate(_canonical_right_factors(p, k), 1):
-        if len(mod_gcd(u, v, p)) > 1:
-            continue
-        if not _fibers_respected(u, v, f_table, p):
-            continue
-        sol = _left_factor(f1, f2, u, v, m, p)
-        if sol is None:
-            continue
-        h = RatFun(Poly(field, u), Poly(field, v))
-        g = _verified(f, h, *sol)
-        if g is not None:
-            return (g, h), tried
-    return None, _subspace_count(p, k)
-
-
-def _rat_search(f: RatFun, degrees, cap: int) -> SearchResult:
-    """The one rational search over F_p: each right-factor degree k, in the
-    order given, searches its whole canonical space when p and k are within
-    the brute-force limits and the space fits in what is left of `cap`.  A
-    space that does not run makes an absent witness non-exhaustive."""
-    if not isinstance(f.field, PrimeField):
+    if not isinstance(field, PrimeField):
         raise PreconditionError("direct rational search runs over prime fields")
-    p = f.field.char
+    p = field.char
+    f1, f2 = f.numerator.coeffs, f.denominator.coeffs
     tried = 0
     exhaustive = True
     for k in degrees:
-        if (p > _MAX_FIELD_SIZE or k > _MAX_RIGHT_DEGREE
-                or _subspace_count(p, k) > cap - tried):
+        size = spaces.size(k)
+        if size > cap - tried:
             exhaustive = False
             continue
-        witness, used = _search_right_factors(f, k)
-        tried += used
-        if witness:
-            return SearchResult(witness, True, tried)
+        for n, (u, v) in enumerate(spaces.candidates(k), 1):
+            if spaces.fallback and len(mod_gcd(u, v, p)) > 1:
+                continue
+            sol = _left_factor(f1, f2, u, v, f.degree // k, p)
+            if sol is None:
+                continue
+            h = RatFun(Poly(field, u), Poly(field, v))
+            g = _verified(f, h, *sol)
+            if g is not None:
+                return SearchResult((g, h), True, tried + n)
+        tried += size
     return SearchResult(None, exhaustive, tried)
 
 
@@ -336,13 +323,13 @@ def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
     deg = f.degree
     if deg % k or k < 2 or k > deg // 2:
         raise PreconditionError("k must divide deg f with 2 <= k <= deg f / 2")
-    return _rat_search(f, [k], budget.candidate_cap)
+    return _rat_search(_RightFactors(f), [k], budget.candidate_cap)
 
 
 def rat_decompose_all_k(f: RatFun, budget: OracleBudget) -> SearchResult:
     """rat_decompose over every admissible right-factor degree, descending,
     all degrees together trying at most the budget's cap."""
-    return _rat_search(f, _right_degrees(f.degree), budget.candidate_cap)
+    return _rat_search(_RightFactors(f), _right_degrees(f.degree), budget.candidate_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +382,15 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
     """
     if f.field != QQ:
         raise PreconditionError("reduction-and-lift search runs over Q")
+    images = []
+    for p in _LIFT_PRIMES:
+        image = _reduce_mod(f, p)
+        if image is not None:
+            images.append((p, _RightFactors(image)))
     tried = 0
     for k in _right_degrees(f.degree):
-        for p in _LIFT_PRIMES:
-            image = _reduce_mod(f, p)
-            if image is None:
-                continue
-            search = _rat_search(image, [k], budget.candidate_cap - tried)
+        for p, spaces in images:
+            search = _rat_search(spaces, [k], budget.candidate_cap - tried)
             tried += search.candidates
             if search.witness is None:
                 continue

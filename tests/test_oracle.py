@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 
 from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
                       RatFun, SearchResult, decompose, h_adic_expansion, parse_expression, poly_compose,
+                      poly_exact_div, poly_gcd,
                       poly_decompose, rat_compose, rat_decompose,
                       rat_decompose_all_k, rat_decompose_via_reduction,
                       right_factor_quotient, solve_left_factor)
+from ratprime import oracle
 from ratprime.errors import FieldMismatchError
-from ratprime.oracle import _right_degrees, _tame_right_factor
+from ratprime.oracle import _RightFactors, _right_degrees, _tame_right_factor
+from ratprime.squarefree import irreducible_factors
 from conftest import field_of, fppoly, from_sympy, qpoly, random_poly, to_sympy, untimed
 
 
@@ -84,7 +87,7 @@ def test_poly_decompose_rational_quartic():
 
 
 # x^25 + x^2 over F_5: its one right-factor degree, 5, is wild (5 | 25/5),
-# so only the brute force can decide it
+# so only the divisor route can decide it
 _WILD_MOD5 = fppoly(5, 0, 0, 1, *[0] * 22, 1)
 
 
@@ -92,7 +95,9 @@ def test_poly_decompose_exhaustive_absence_mod5():
     out = poly_decompose(_WILD_MOD5, OracleBudget())
     assert out.witness is None
     assert out.exhaustive
-    assert out.candidates == 625  # monic x^5 + ... + bx candidates only
+    # f - f(0) = x^2 (x^23 + 1) has no degree-5 divisor that x divides, so
+    # no candidate is left
+    assert out.candidates == 0
 
 
 def test_poly_decompose_monomial_split_mod5():
@@ -103,24 +108,28 @@ def test_poly_decompose_monomial_split_mod5():
 
 
 def test_poly_decompose_budget_exhaustion_is_distinct():
-    # cap of 3 cannot cover the 625 wild degree-5 candidates over F_5
-    out = poly_decompose(_WILD_MOD5, OracleBudget(candidate_cap=3))
+    # x^25 + 4x^3 + x^2 + x over F_5 has 4 wild degree-5 candidates, all
+    # non-factors, and a cap of 3 cannot cover them
+    f = fppoly(5, 0, 1, 1, 4, *[0] * 21, 1)
+    assert poly_decompose(f, OracleBudget()) == SearchResult(None, True, 4)
+    out = poly_decompose(f, OracleBudget(candidate_cap=3))
     assert out.witness is None
     assert not out.exhaustive
 
 
-def test_poly_decompose_skips_fields_above_13():
+def test_poly_decompose_wild_degree_over_f17_finds_witness():
     # (x^17+x) o (x^17+x) over F_17: its one right-factor degree is wild
-    # (17 | 289/17), and the brute force does not run at all
-    f = parse_expression("(x^17+x)^17+x^17+x", PrimeField(17))
-    assert poly_decompose(f.numerator, OracleBudget()) == SearchResult(None, False, 0)
+    # (17 | 289/17), and one divisor of f - f(0) is the right factor
+    f = parse_expression("(x^17+x)^17+x^17+x", PrimeField(17)).numerator
+    h = fppoly(17, 0, 1, *[0] * 15, 1)
+    assert poly_decompose(f, OracleBudget()) == SearchResult((h, h), True, 1)
 
 
-def test_poly_decompose_skips_right_degrees_above_8():
-    # over F_2, deg 18 tries k = 6 and 2 (tame, one candidate each) and
-    # k = 3 (wild, 4 candidates) but not the wild k = 9, so absence is open
+def test_poly_decompose_wild_degree_above_8_is_exhaustive():
+    # over F_2, deg 18 tries the wild k = 9 (the brute force skipped it),
+    # k = 6 and 2 (tame, one candidate each) and the wild k = 3
     out = poly_decompose(Poly(PrimeField(2), [0, 1] + [0] * 16 + [1]), OracleBudget())
-    assert out == SearchResult(None, False, 6)
+    assert out == SearchResult(None, True, 4)
 
 
 def test_poly_decompose_tame_over_large_field():
@@ -283,29 +292,36 @@ def test_rat_decompose_exhaustive_absence_for_prime_certified_function():
     out = rat_decompose(f, 3, OracleBudget(candidate_cap=50_000))
     assert out.witness is None
     assert out.exhaustive
-    assert out.candidates == 775  # 5^2 * (5^3 - 1) / 4 canonical candidates
+    # 4 divisor pairs, of the 5^2 * (5^3 - 1) / 4 = 775 echelon candidates
+    assert out.candidates == 4
 
 
 def test_rat_decompose_budget_cap_reported():
     field = PrimeField(5)
     f = RatFun(Poly(field, [0] * 9 + [1]), Poly(field, (1, 0, 1)))
-    out = rat_decompose(f, 3, OracleBudget(candidate_cap=10))
+    # a cap of 3 cannot cover the 4 candidates of the k = 3 space
+    out = rat_decompose(f, 3, OracleBudget(candidate_cap=3))
     assert out.witness is None and not out.exhaustive
 
 
-def test_rat_decompose_skips_fields_above_13():
+def test_rat_decompose_above_13_is_exhaustive():
     f = parse_expression("(x^2+1)^2/(x^2+x)", PrimeField(17))
-    assert rat_decompose(f, 2, OracleBudget()) == SearchResult(None, False, 0)
+    assert rat_decompose(f, 2, OracleBudget()) == SearchResult(None, True, 3)
+    # the whole echelon space of 17 * (17^2 - 1) / 16 = 306 candidates agrees
+    space = list(_ref_canonical_right_factors(17, 2))
+    assert len(space) == 306
+    assert not any(solve_left_factor(f, RatFun(Poly(f.field, u), Poly(f.field, v)))
+                   for u, v in space if poly_gcd(Poly(f.field, u), Poly(f.field, v)).degree == 0)
 
 
 def test_rat_decompose_all_k_cap_is_a_total():
-    # the k = 3 space (117 candidates) fits a cap of 120; the k = 2 space
-    # (12) fits the cap but not the 3 candidates left after k = 3
+    # the k = 3 space (1 candidate) fits a cap of 1; the k = 2 space (1)
+    # fits the cap but not the 0 candidates left after k = 3
     f = parse_expression("(x^12+x+2)/(x^11+2*x^3+1)", PrimeField(3))
-    budget = OracleBudget(candidate_cap=120)
-    assert rat_decompose(f, 3, budget) == SearchResult(None, True, 117)
-    assert rat_decompose(f, 2, budget) == SearchResult(None, True, 12)
-    assert rat_decompose_all_k(f, budget) == SearchResult(None, False, 117)
+    budget = OracleBudget(candidate_cap=1)
+    assert rat_decompose(f, 3, budget) == SearchResult(None, True, 1)
+    assert rat_decompose(f, 2, budget) == SearchResult(None, True, 1)
+    assert rat_decompose_all_k(f, budget) == SearchResult(None, False, 1)
 
 
 def test_rat_decompose_all_k_polynomial_right_factor():
@@ -314,6 +330,212 @@ def test_rat_decompose_all_k_polynomial_right_factor():
     out = rat_decompose_all_k(f, OracleBudget())
     g, h = out.witness
     assert rat_compose(g, h) == f
+
+
+# ---------------------------------------------------------------------------
+# the F_p factorization behind the divisor route
+
+
+@st.composite
+def _factor_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 13, 1_000_003]))
+    field = PrimeField(p)
+
+    def poly(low, high, monic=False):
+        n = draw(st.integers(low, high))
+        lead = 1 if monic else draw(st.integers(1, p - 1))
+        return Poly(field, draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [lead])
+
+    f = poly(0, 8)
+    # repeated factors, and p-th powers where they stay small
+    for _ in range(draw(st.integers(0, 2))):
+        f = f * poly(1, 2, monic=True) ** draw(st.sampled_from([1, 2, 3] + [p] * (p <= 5)))
+    if p == 13 and draw(st.booleans()):
+        f = f * poly(1, 1, monic=True) ** 13
+    return p, f
+
+
+@untimed
+@given(_factor_case(), st.integers(1, 4))
+def test_irreducible_factors_match_sympy(case, top):
+    p, f = case
+    _, reference = to_sympy(p, f.coeffs).factor_list()
+    full = irreducible_factors(f)
+    assert full == sorted(((from_sympy(p, q).monic().coeffs, m) for q, m in reference),
+                          key=lambda zm: (len(zm[0]), zm[0]))
+    # with a top degree, the factors up to it are the same and the rest
+    # multiply back to what is left of f
+    low = [(z, m) for z, m in full if len(z) - 1 <= top]
+    capped = irreducible_factors(f, top)
+    assert [(z, m) for z, m in capped if len(z) - 1 <= top] == low
+    rest = Poly.one(f.field)
+    for z, m in capped:
+        if len(z) - 1 > top:
+            rest = rest * Poly(f.field, z) ** m
+    for z, m in full:
+        if len(z) - 1 > top:
+            rest = poly_exact_div(rest, Poly(f.field, z) ** m)
+    assert rest == Poly.one(f.field)
+
+
+# ---------------------------------------------------------------------------
+# the brute force the divisor route replaced, kept as its reference: the
+# whole echelon space of rational right factors with its fiber pruning, and
+# the loop over every monic h with zero constant term on a wild polynomial
+# degree; both ran only for p <= 13 and k <= 8, within the candidate cap
+
+_REF_MAX_FIELD_SIZE = 13
+_REF_MAX_RIGHT_DEGREE = 8
+
+
+def _ref_projective_table(num, den, p):
+    table = []
+    for a in range(p):
+        bottom = Poly(PrimeField(p), den)(a)
+        table.append(Poly(PrimeField(p), num)(a) * pow(bottom, -1, p) % p if bottom else p)
+    if len(num) != len(den):
+        return table + [p if len(num) > len(den) else 0]
+    return table + [num[-1] * pow(den[-1], -1, p) % p]
+
+
+def _ref_fibers_respected(u, v, f_table, p):
+    groups = {}
+    for a in range(p):
+        bottom = Poly(PrimeField(p), v)(a)
+        hv = Poly(PrimeField(p), u)(a) * pow(bottom, -1, p) % p if bottom else p
+        if groups.setdefault(hv, f_table[a]) != f_table[a]:
+            return False
+    return groups.get(p, f_table[p]) == f_table[p]
+
+
+def _ref_subspace_count(p, k):
+    return p ** (k - 1) * (p ** k - 1) // (p - 1)
+
+
+def _ref_canonical_right_factors(p, k):
+    for dv in range(k):
+        for v_tail in product(range(p), repeat=dv):
+            for u_free in product(range(p), repeat=k - 1):
+                yield list(u_free[:dv]) + [0] + list(u_free[dv:]) + [1], list(v_tail) + [1]
+
+
+def _ref_rat_decompose(f, k, cap=100_000):
+    """The brute-force rat_decompose(f, k), or None where it could not
+    enumerate the space."""
+    field = f.field
+    p = field.char
+    if p > _REF_MAX_FIELD_SIZE or k > _REF_MAX_RIGHT_DEGREE or _ref_subspace_count(p, k) > cap:
+        return None
+    f1, f2 = f.numerator.coeffs, f.denominator.coeffs
+    f_table = _ref_projective_table(f1, f2, p)
+    for tried, (u, v) in enumerate(_ref_canonical_right_factors(p, k), 1):
+        if Poly(field, u).degree < 1 or poly_gcd(Poly(field, u), Poly(field, v)).degree > 0:
+            continue
+        if not _ref_fibers_respected(u, v, f_table, p):
+            continue
+        h = RatFun(Poly(field, u), Poly(field, v))
+        g = solve_left_factor(f, h)
+        if g is not None:
+            return SearchResult((g, h), True, tried)
+    return SearchResult(None, True, _ref_subspace_count(p, k))
+
+
+def _ref_poly_decompose(f, cap=100_000):
+    """The brute-force poly_decompose (the tame candidate, or all p^(k-1)
+    candidates of a wild degree), or None once it meets a degree it could
+    not enumerate."""
+    field, n, p = f.field, f.degree, f.field.char
+    tried = 0
+    for k in _right_degrees(n):
+        wild = (n // k) % p == 0
+        if (wild and (p > _REF_MAX_FIELD_SIZE or k > _REF_MAX_RIGHT_DEGREE)
+                or tried + (p ** (k - 1) if wild else 1) > cap):
+            return None
+        if wild:
+            candidates = (Poly(field, (0,) + tail + (1,)) for tail in product(range(p), repeat=k - 1))
+        else:
+            candidates = (_tame_right_factor(f, k),)
+        for h in candidates:
+            tried += 1
+            g = right_factor_quotient(f, h)
+            if g is not None:
+                return SearchResult((g, h), True, tried)
+    return SearchResult(None, True, tried)
+
+
+# (x^6+x^5+2x^4+x^2+x+2)/(x^4+2x^3+2x^2+x) over F_3: every point of F_3 and
+# infinity is a pole, so no point a has f(a) != f(inf)
+_CONSTANT_ON_P1_MOD3 = "(x^6+x^5+2*x^4+x^2+x+2)/(x^4+2*x^3+2*x^2+x)"
+
+
+def _random_fp_ratfun(rng, p, num_degree, den_degree):
+    field = PrimeField(p)
+    while True:
+        num, den = ([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+                    for d in (num_degree, den_degree))
+        f = RatFun(Poly(field, num), Poly(field, den))
+        if f.degree == max(num_degree, den_degree):
+            return f
+
+
+def _rational_reference_inputs(rng, p):
+    inputs = []
+    while len(inputs) < 6:
+        dh = rng.choice((2, 2, 3))
+        g = _random_fp_ratfun(rng, p, rng.randint(1, 2), 2)
+        h = _random_fp_ratfun(rng, p, dh, rng.randint(0, dh - 1))
+        inputs.append(rat_compose(g, h))
+    for n in (4, 4, 6, 6) + (8,) * (p < 7):
+        inputs.append(_random_fp_ratfun(rng, p, n, rng.randint(1, n)))
+    return inputs
+
+
+def _assert_matches_reference(f, k):
+    reference = _ref_rat_decompose(f, k)
+    if reference is not None:
+        out = rat_decompose(f, k, OracleBudget())
+        # the same first witness, or absence proven by both
+        assert (out.witness, out.exhaustive) == (reference.witness, True)
+        assert out.candidates <= min(reference.candidates, _RightFactors(f).size(k))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rational_divisor_route_matches_brute_force(rng, p):
+    for f in _rational_reference_inputs(rng, p):
+        for k in _right_degrees(f.degree):
+            _assert_matches_reference(f, k)
+
+
+def test_constant_on_projective_line_uses_the_fallback(rng):
+    f = parse_expression(_CONSTANT_ON_P1_MOD3, PrimeField(3))
+    assert _RightFactors(f).fallback
+    assert rat_decompose(f, 2, OracleBudget()).witness is not None
+    fallbacks = [f]
+    while len(fallbacks) < 6:
+        f = _random_fp_ratfun(rng, 2, rng.choice((4, 6)), rng.randint(1, 3))
+        if _RightFactors(f).fallback:
+            fallbacks.append(f)
+    for f in fallbacks:
+        for k in _right_degrees(f.degree):
+            _assert_matches_reference(f, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_wild_divisor_route_matches_brute_force(rng, p):
+    field = PrimeField(p)
+    inputs = []
+    for n in [d for d in (4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 25) if d % p == 0]:
+        inputs.append(_random_fp_ratfun(rng, p, n, 0).numerator)
+        for k in _right_degrees(n):
+            g, h = (_random_fp_ratfun(rng, p, d, 0).numerator for d in (n // k, k))
+            inputs.append(poly_compose(g, h))
+    for f in inputs:
+        reference = _ref_poly_decompose(f)
+        if reference is None:
+            continue
+        out = poly_decompose(f, OracleBudget())
+        assert (out.witness, out.exhaustive) == (reference.witness, True)
+        assert out.candidates <= reference.candidates
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +559,29 @@ def test_lift_never_claims_exhaustive_absence():
 
 
 def test_lift_searches_whole_spaces_only():
-    # k = 3 has 775 canonical candidates mod 5 and 2793 mod 7; a cap of 3000
-    # runs the first space and skips the second rather than cutting it short
+    # k = 3 has 4 candidates mod 5, then 2 mod 7, 2 mod 11 and 4 mod 13; a
+    # cap of 5 runs the first space and skips the others rather than
+    # cutting one short
     f = RatFun(Poly(QQ, [0] * 9 + [1]), qpoly(1, 0, 1))
-    assert rat_decompose_via_reduction(f, OracleBudget(candidate_cap=3000)) == \
-        SearchResult(None, False, 775)
-    assert rat_decompose_via_reduction(f, OracleBudget()) == SearchResult(None, False, 50588)
+    assert rat_decompose_via_reduction(f, OracleBudget(candidate_cap=5)) == \
+        SearchResult(None, False, 4)
+    assert rat_decompose_via_reduction(f, OracleBudget()) == SearchResult(None, False, 12)
+
+
+def test_lift_reduces_once_per_prime(monkeypatch):
+    calls = []
+
+    def counted(f, p):
+        calls.append(p)
+        return reduce_mod(f, p)
+
+    reduce_mod = oracle._reduce_mod
+    monkeypatch.setattr(oracle, "_reduce_mod", counted)
+    # x^18/(x^2+1) = x^9/(x+1) o x^2, found at k = 2 after k = 9, 6 and 3
+    f = RatFun(Poly(QQ, [0] * 18 + [1]), qpoly(1, 0, 1))
+    g, h = rat_decompose_via_reduction(f, OracleBudget()).witness
+    assert h == RatFun(qpoly(0, 0, 1)) and rat_compose(g, h) == f
+    assert calls == [5, 7, 11, 13]
 
 
 def test_solve_left_factor_unique():

@@ -187,9 +187,9 @@ def test_cli_analyze_with_oracle(capsys, schema):
 def test_cli_analyze_reports_budget_exhaustion(capsys, schema):
     # composite of degree 9 over F_3 that no certificate covers; its one
     # right-factor degree is wild (3 | 9/3), and a cap of 5 candidates is
-    # too small for its 9
+    # too small for its 6
     code, report = _run_json(capsys, "analyze", "--field", "F3", "--oracle-budget", "5",
-                             "(x^3+x+1)^3+(x^3+x+1)")
+                             "(x^3+x^2)^3+(x^3+x^2)^2")
     assert code == 0
     jsonschema.validate(report, schema)
     assert report["verdict"]["kind"] == "Unknown"

@@ -1,28 +1,33 @@
 """Decomposition search used as ground truth.
 
-Polynomials: base-h digit expansion decides "is h a right factor" exactly.
-A right-factor degree k is tame when the characteristic does not divide
-m = deg f / k, and then the one candidate solves for the top coefficients of
-f (von zur Gathen 1990); a wild k (p | m) tries divisors of f - f(0).
+Right factors are taken up to degree-1 units on the left.  Once a candidate
+h = u/v of degree k is fixed, the left factor g = P/Q of f = f1/f2 comes
+from one triangular expansion (`_left_factor`): with m = deg f / k and
+deg u != deg v, the forms u^i v^(m-i) have distinct degrees, and f = g o h
+exactly when f1 and f2 both expand in them; the digits are the coefficients
+of P and Q.  With v = 1 this is the h-adic test.  A pair u, v with a
+common factor never expands, since every form is divisible by its m-th
+power and f1, f2 are coprime.  The same solve runs on int residues over F_p
+and on Fractions over Q.
 
-Rational functions over F_p: right factors are taken up to degree-1 units,
-as reduced echelon pairs (u monic of degree k with zero coefficient at
-deg v, v monic of lower degree).  Every class holds a u/v whose u and v
-divide fiber polynomials of f (Alonso-Gutierrez-Recio 1995); the F_p
-factorization in `squarefree` lists those divisors, and shifted to echelon
-form they give each degree a finite, complete candidate set of known size,
-at any p and k.  The left factor, once
-h is fixed, is the kernel of an exact linear system on int residues
-(`_intpoly`); the same solver serves Q.  Over Q the search runs on
-good-reduction images mod small primes, and witnesses are lifted
-symmetrically and re-verified exactly, so absence over Q is never claimed to
-be exhaustive.
+Candidates: a polynomial right-factor degree k is tame when the
+characteristic does not divide m; then one candidate solves for the top
+coefficients of f (von zur Gathen 1990).  Every other space is over F_p:
+reduced echelon pairs (u monic of degree k with zero coefficient at deg v,
+v monic of lower degree).  Every class holds a u/v whose u and v divide
+fiber polynomials of f (Alonso-Gutierrez-Recio 1995); the F_p factorization
+in `squarefree` lists those divisors, and shifted to echelon form they give
+each degree a finite, complete candidate set of known size, at any p and k.
+Over Q the rational search runs on good-reduction images mod small primes,
+and witnesses are lifted symmetrically and re-verified exactly, so absence
+over Q is never claimed to be exhaustive.
 
 "Budget exhausted" and "exhaustively absent" are distinct outcomes; only
-the second lets an absent witness count as a proof.  The budget's
-candidate cap bounds one whole search, across every right-factor
-degree and lift prime; a space (one degree, over Q at one lift prime) runs
-whole or not at all.  `decompose` picks the search for f.
+the second lets an absent witness count as a proof.  One loop (`_search`)
+runs every route, and it alone applies the budget's candidate cap, which
+bounds one whole search across every right-factor degree and lift prime; a
+space (one degree, over Q at one lift prime) runs whole or not at all.
+`decompose` picks the search for f.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product, zip_longest
 
-from ._intpoly import mod_gcd, mod_mul
+from ._intpoly import mod_mul, trim
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField, QQ
 from .numutil import is_prime, proper_composite_divisors
@@ -63,24 +68,30 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Right-factor candidates over F_p, from divisors of fiber polynomials
+# Right-factor candidates: the tame one, or divisors of fiber polynomials
 
 
 class _RightFactors:
-    """Complete candidate sets of right factors h = u/v of f over F_p.
+    """Complete candidate sets of right factors h = u/v of f.
 
-    A degree-1 unit on the left makes h(inf) = inf and h(a) = 0, where a is
-    the first point with f(a) != f(inf), and u, v monic: one pair per class.
-    Then u (degree k) divides the fiber polynomial d*num - c*den of f over
-    f(a) = (c : d), and v (degree < k) the one over f(inf); fibers over
+    A tame degree k of a polynomial f (p does not divide deg f / k, any p)
+    has one candidate, the tame h with v = 1.  Every other space is over
+    F_p.  A degree-1 unit on the left makes h(inf) = inf and h(a) = 0, where
+    a is the first point with f(a) != f(inf), and u, v monic: one pair per
+    class.  Then u (degree k) divides the fiber polynomial d*num - c*den of f
+    over f(a) = (c : d), and v (degree < k) the one over f(inf); fibers over
     distinct values are coprime.  If f is constant on P^1(F_p), no a exists
     and u runs over every echelon u, so only then can u and v share a factor
-    (`fallback`).  The factorizations run once, on first use, for every k.
+    (and such a pair has no left factor).  The factorizations run once, on
+    first use, for every k.
     """
 
     def __init__(self, f: RatFun):
         self.f = f
         self.p = f.field.char
+
+    def _tame(self, k: int) -> bool:
+        return self.f.is_polynomial and (not self.p or (self.f.degree // k) % self.p != 0)
 
     @cached_property
     def _fibers(self):
@@ -96,20 +107,22 @@ class _RightFactors:
         # u = (x - a) w for a divisor w of the rest of that fiber
         return a, irreducible_factors(poly_exact_div(at_a, Poly(num.field, (-a, 1))), top), poles
 
-    @property
-    def fallback(self) -> bool:
-        return self._fibers[0] is None
-
     def size(self, k: int) -> int:
         """The number of (u, v) pairs of degree k."""
+        if self._tame(k):
+            return 1
         a, zeros, poles = self._fibers
         us = self.p ** (k - 1) if a is None else divisor_counts(zeros, k - 1)[k - 1]
         return us * sum(divisor_counts(poles, k - 1))
 
     def candidates(self, k: int):
-        """The pairs of degree k shifted to their echelon representatives
-        (u - u_{deg v} v, v), in the order of the whole echelon space: by
-        deg v, then v's and u's free coefficients, constant term first."""
+        """The tame pair (h, 1), or the pairs of degree k shifted to their
+        echelon representatives (u - u_{deg v} v, v), in the order of the
+        whole echelon space: by deg v, then v's and u's free coefficients,
+        constant term first."""
+        if self._tame(k):
+            yield list(_tame_right_factor(self.f.numerator, k).coeffs), [1]
+            return
         a, zeros, poles = self._fibers
         p = self.p
         if a is not None:
@@ -126,8 +139,87 @@ class _RightFactors:
                 yield u, v
 
 
+def _tame_right_factor(f: Poly, k: int) -> Poly:
+    """The unique monic, zero-constant-term candidate of degree k whose m-th
+    power matches the top coefficients of f/lc(f); it divides only by m, so it
+    is valid when p does not divide m.  The coefficient of x^(n-j) in h^m
+    depends only on the top j + 1 coefficients of h, so each step raises
+    just those, reversed and truncated after degree j, to the m-th power."""
+    field = f.field
+    p = field.char
+    m = f.degree // k
+    target = f.monic().coeffs[::-1]  # target[j] is the coefficient of x^(n-j)
+    top = [field.one]  # top[j] is the coefficient of x^(k-j) in h
+    for j in range(1, k):
+        power, base, e = [field.one], top, m
+        while e:
+            if e & 1:
+                power = mod_mul(power, base, p)[:j + 1]
+            base = mod_mul(base, base, p)[:j + 1]
+            e >>= 1
+        gap = target[j] - (power[j] if j < len(power) else 0)
+        top.append(field.div(gap, m))
+    return Poly(field, [0, *reversed(top)])
+
+
+def _right_degrees(n: int) -> list[int]:
+    """Candidate right-factor degrees, largest first (the canonical order)."""
+    return list(reversed(proper_composite_divisors(n)))
+
+
 # ---------------------------------------------------------------------------
-# Polynomial decomposition
+# The left factor, on int residues over F_p or Fractions over Q (p = 0)
+
+
+def _left_factor(f1: list, f2: list, u: list, v: list, m: int, p: int):
+    """Digits (P, Q) with f1 = sum P_i u^i v^(m-i) and f2 = sum Q_i u^i v^(m-i),
+    or None when either does not expand.  Needs deg u != deg v: the forms
+    then have distinct degrees, and each digit is read off the leading
+    term of what is left."""
+    upow, vpow = [[1]], [[1]]
+    for _ in range(m):
+        upow.append(mod_mul(upow[-1], u, p))
+        vpow.append(mod_mul(vpow[-1], v, p))
+    forms = [mod_mul(upow[i], vpow[m - i], p) for i in range(m + 1)]
+    order = range(m, -1, -1) if len(u) > len(v) else range(m + 1)  # by degree, descending
+    digits = []
+    for rest in (list(f1), list(f2)):
+        digit = [0] * (m + 1)
+        for i in order:
+            form = forms[i]
+            if len(rest) > len(form):
+                return None
+            if len(rest) == len(form):
+                c = rest[-1] * pow(form[-1], -1, p) % p if p else Fraction(rest[-1]) / form[-1]
+                rest = [a - c * b for a, b in zip(rest, form)]
+                rest = trim([a % p for a in rest] if p else rest)
+                digit[i] = c
+        if rest:
+            return None
+        digits.append(digit)
+    return digits
+
+
+def solve_left_factor(f: RatFun, h: RatFun) -> RatFun | None:
+    """g with f = g o h, or None; the left factor is unique when it exists.
+    When h = u/v has deg u = deg v, the expansion runs in h - c, where
+    c = lc u / lc v, and g is shifted back by c."""
+    if f.field != h.field:
+        raise FieldMismatchError(f"{f.field!r} vs {h.field!r}")
+    k = h.degree
+    if k < 1:
+        raise PreconditionError("right factor must be nonconstant")
+    if f.degree % k:
+        return None
+    field = f.field
+    u, v = h.numerator, h.denominator
+    c = field.div(u.lc, v.lc) if u.degree == v.degree else field.zero
+    sol = _left_factor(f.numerator.coeffs, f.denominator.coeffs, (u - v.scale(c)).coeffs,
+                       v.coeffs, f.degree // k, field.char)
+    if sol is None:
+        return None
+    g = RatFun(*(Poly(field, digits).taylor_shift(-c) for digits in sol))
+    return g if rat_compose(g, h) == f else None
 
 
 def h_adic_expansion(f: Poly, h: Poly) -> list[Poly]:
@@ -143,153 +235,30 @@ def h_adic_expansion(f: Poly, h: Poly) -> list[Poly]:
 
 
 def right_factor_quotient(f: Poly, h: Poly) -> Poly | None:
-    """g with f = g o h, or None.  Exists iff every h-adic digit is constant;
-    the result is re-verified by composition before returning."""
+    """g with f = g o h, or None: the left-factor solve with v = 1 (every
+    h-adic digit of f is constant), re-verified by composition."""
     if h.degree < 2:
         raise PreconditionError("right factor must have degree >= 2")
     if f.degree % h.degree:
         raise PreconditionError("right-factor degree must divide deg f")
-    coeffs = []
-    for digit in h_adic_expansion(f, h):
-        if digit.degree > 0:
-            return None
-        coeffs.append(digit.coeff(0))
-    g = Poly(f.field, coeffs)
+    sol = _left_factor(f.coeffs, [1], h.coeffs, [1], f.degree // h.degree, f.field.char)
+    if sol is None:
+        return None
+    g = Poly(f.field, sol[0])
     return g if poly_compose(g, h) == f else None
 
 
-def _tame_right_factor(f: Poly, k: int) -> Poly:
-    """The unique monic, zero-constant-term candidate of degree k whose m-th
-    power matches the top coefficients of f/lc(f); it divides only by m, so it
-    is valid when p does not divide m."""
-    field = f.field
-    n = f.degree
-    m = n // k
-    target = f.monic()
-    h = Poly.x(field) ** k
-    for j in range(1, k):
-        gap = target - h ** m
-        c = gap.coeff(n - j)
-        if c:
-            h = h + Poly(field, (field.zero,) * (k - j) + (field.div(c, m),))
-    return h
-
-
-def _right_degrees(n: int) -> list[int]:
-    """Candidate right-factor degrees, largest first (the canonical order)."""
-    return list(reversed(proper_composite_divisors(n)))
-
-
-def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
-    """First verified (g, h) with f = g o h, trying right-factor degrees in
-    the canonical (descending) order.  A tame degree costs one candidate; a
-    wild one (p | deg f / k) costs the divisors of f - f(0) of degree k."""
-    n = f.degree
-    if n < 4 or is_prime(n):
-        raise PreconditionError("decomposition search needs composite degree >= 4")
-    field = f.field
-    p = field.char
-    spaces = _RightFactors(RatFun(f))
-    tried = 0
-    exhaustive = True
-    for k in _right_degrees(n):
-        wild = p and (n // k) % p == 0
-        if tried + (spaces.size(k) if wild else 1) > budget.candidate_cap:
-            exhaustive = False
-            continue
-        if wild:
-            candidates = (Poly(field, u) for u, _ in spaces.candidates(k))
-        else:
-            candidates = (_tame_right_factor(f, k),)
-        for h in candidates:
-            tried += 1
-            g = right_factor_quotient(f, h)
-            if g is not None:
-                return SearchResult((g, h), True, tried)
-    return SearchResult(None, exhaustive, tried)
-
-
 # ---------------------------------------------------------------------------
-# Rational decomposition over F_p, on int residues (ascending coefficients);
-# the kernel and the left-factor solve also take Fractions (p = 0) for Q
+# The search
 
 
-def _kernel(rows: list[list], ncols: int, p: int) -> list[list]:
-    """Kernel basis of a matrix (rows of length ncols) over F_p with int
-    residue entries, or over Q with Fraction entries when p = 0."""
-    mat = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], -1, p) if p else 1 / Fraction(mat[r][c])
-        mat[r] = [x * inv % p for x in mat[r]] if p else [x * inv for x in mat[r]]
-        row_r = mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                if p:
-                    mat[i] = [(x - factor * y) % p for x, y in zip(mat[i], row_r)]
-                else:
-                    mat[i] = [x - factor * y for x, y in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc] % p if p else -mat[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def _left_factor(f1: list, f2: list, u: list, v: list, m: int, p: int):
-    """Solve f1 * Qh - f2 * Ph = 0 for the coefficients of g = P/Q, where
-    Ph, Qh homogenize P, Q with (u, v), over F_p on int residues or over Q
-    on Fractions (p = 0).  Returns (P, Q) lists or None."""
-    upow, vpow = [[1]], [[1]]
-    for _ in range(m):
-        upow.append(mod_mul(upow[-1], u, p))
-        vpow.append(mod_mul(vpow[-1], v, p))
-    forms = [mod_mul(upow[j], vpow[m - j], p) for j in range(m + 1)]
-    minus_f2 = [-c for c in f2]
-    cols = [mod_mul(f1, w, p) for w in forms] + [mod_mul(minus_f2, w, p) for w in forms]
-    height = max(len(c) for c in cols)
-    rows = [[col[r] if r < len(col) else 0 for col in cols] for r in range(height)]
-    for vec in _kernel(rows, 2 * (m + 1), p):
-        q = vec[:m + 1]
-        if any(q):
-            return vec[m + 1:], q
-    return None
-
-
-def _verified(f: RatFun, h: RatFun, pp: list, q: list) -> RatFun | None:
-    """g = pp/q when g o h equals f exactly, else None."""
-    g = RatFun(Poly(f.field, pp), Poly(f.field, q))
-    return g if rat_compose(g, h) == f else None
-
-
-def _rat_search(spaces: _RightFactors, degrees, cap: int) -> SearchResult:
-    """The one rational search over F_p: each right-factor degree k of
-    spaces.f, in the order given, tries its whole candidate space when it
-    fits in what is left of `cap`.  A space that does not run makes an
-    absent witness non-exhaustive."""
+def _search(spaces: _RightFactors, degrees, cap: int) -> SearchResult:
+    """The one decomposition search: each right-factor degree k of spaces.f,
+    in the order given, tries its whole candidate space when it fits in
+    what is left of `cap`.  A space that does not run makes an absent
+    witness non-exhaustive."""
     f = spaces.f
     field = f.field
-    if not isinstance(field, PrimeField):
-        raise PreconditionError("direct rational search runs over prime fields")
-    p = field.char
     f1, f2 = f.numerator.coeffs, f.denominator.coeffs
     tried = 0
     exhaustive = True
@@ -299,17 +268,28 @@ def _rat_search(spaces: _RightFactors, degrees, cap: int) -> SearchResult:
             exhaustive = False
             continue
         for n, (u, v) in enumerate(spaces.candidates(k), 1):
-            if spaces.fallback and len(mod_gcd(u, v, p)) > 1:
-                continue
-            sol = _left_factor(f1, f2, u, v, f.degree // k, p)
+            sol = _left_factor(f1, f2, u, v, f.degree // k, field.char)
             if sol is None:
                 continue
+            g = RatFun(Poly(field, sol[0]), Poly(field, sol[1]))
             h = RatFun(Poly(field, u), Poly(field, v))
-            g = _verified(f, h, *sol)
-            if g is not None:
+            if rat_compose(g, h) == f:
                 return SearchResult((g, h), True, tried + n)
         tried += size
     return SearchResult(None, exhaustive, tried)
+
+
+def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
+    """First verified (g, h) with f = g o h, trying right-factor degrees in
+    the canonical (descending) order.  A tame degree costs one candidate; a
+    wild one (p | deg f / k) costs the divisors of f - f(0) of degree k."""
+    n = f.degree
+    if n < 4 or is_prime(n):
+        raise PreconditionError("decomposition search needs composite degree >= 4")
+    search = _search(_RightFactors(RatFun(f)), _right_degrees(n), budget.candidate_cap)
+    if search.witness:
+        search = replace(search, witness=tuple(w.numerator for w in search.witness))
+    return search
 
 
 def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
@@ -321,15 +301,19 @@ def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
     if f.is_zero or f.is_constant:
         raise PreconditionError("nonconstant function required")
     deg = f.degree
-    if deg % k or k < 2 or k > deg // 2:
+    if k < 2 or k > deg // 2 or deg % k:
         raise PreconditionError("k must divide deg f with 2 <= k <= deg f / 2")
-    return _rat_search(_RightFactors(f), [k], budget.candidate_cap)
+    if not isinstance(f.field, PrimeField):
+        raise PreconditionError("direct rational search runs over prime fields")
+    return _search(_RightFactors(f), [k], budget.candidate_cap)
 
 
 def rat_decompose_all_k(f: RatFun, budget: OracleBudget) -> SearchResult:
     """rat_decompose over every admissible right-factor degree, descending,
     all degrees together trying at most the budget's cap."""
-    return _rat_search(_RightFactors(f), _right_degrees(f.degree), budget.candidate_cap)
+    if not isinstance(f.field, PrimeField):
+        raise PreconditionError("direct rational search runs over prime fields")
+    return _search(_RightFactors(f), _right_degrees(f.degree), budget.candidate_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +342,6 @@ def _symmetric_lift(a: list[int], p: int) -> list[Fraction]:
     return [Fraction(c if c <= p // 2 else c - p) for c in a]
 
 
-def solve_left_factor(f: RatFun, h: RatFun) -> RatFun | None:
-    """Given a candidate right factor h, solve the exact linear system for g
-    with f = g o h; the left factor is unique when it exists."""
-    if f.field != h.field:
-        raise FieldMismatchError(f"{f.field!r} vs {h.field!r}")
-    deg = f.degree
-    k = h.degree
-    if deg % k:
-        return None
-    sol = _left_factor(f.numerator.coeffs, f.denominator.coeffs, h.numerator.coeffs,
-                       h.denominator.coeffs, deg // k, f.field.char)
-    return None if sol is None else _verified(f, h, *sol)
-
-
 def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult:
     """Witness search for proper rational functions over Q: search a
     good-reduction image over a small prime field, lift candidate right
@@ -390,7 +360,7 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
     tried = 0
     for k in _right_degrees(f.degree):
         for p, spaces in images:
-            search = _rat_search(spaces, [k], budget.candidate_cap - tried)
+            search = _search(spaces, [k], budget.candidate_cap - tried)
             tried += search.candidates
             if search.witness is None:
                 continue

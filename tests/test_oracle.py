@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
                       rat_decompose_all_k, rat_decompose_via_reduction,
                       right_factor_quotient, solve_left_factor)
 from ratprime import oracle
+from ratprime._intpoly import mod_mul
 from ratprime.errors import FieldMismatchError
 from ratprime.oracle import _RightFactors, _right_degrees, _tame_right_factor
 from ratprime.squarefree import irreducible_factors
@@ -159,11 +161,28 @@ def test_poly_decompose_tame_degree_above_8_over_q():
     assert out == SearchResult((qpoly(1, 0, 1), qpoly(0, 1, *[0] * 7, 1)), True, 1)
 
 
+def _ref_tame_right_factor(f, k):
+    """The reference tame candidate: for each of its k - 1 coefficients,
+    the full h^m and f/lc(f) - h^m."""
+    field = f.field
+    n = f.degree
+    m = n // k
+    target = f.monic()
+    h = Poly.x(field) ** k
+    for j in range(1, k):
+        gap = target - h ** m
+        c = gap.coeff(n - j)
+        if c:
+            h = h + Poly(field, (field.zero,) * (k - j) + (field.div(c, m),))
+    return h
+
+
 def test_tame_right_factor_matches_brute_force(rng):
-    # on every tame degree over F_3, F_5 and F_7, the one tame candidate is a
-    # right factor exactly when some brute-force candidate is
-    for p in (3, 5, 7):
-        field = PrimeField(p)
+    # on every tame degree over Q, F_3, F_5 and F_7 the candidate is the one
+    # the full powers give, and over F_p it is a right factor exactly when
+    # some brute-force candidate is
+    for p in (3, 5, 7, 0):
+        field = field_of(p)
         for _ in range(12):
             if rng.random() < 0.5:
                 f = random_poly(rng, field, rng.choice((4, 6, 8, 9)))
@@ -172,7 +191,10 @@ def test_tame_right_factor_matches_brute_force(rng):
                                  random_poly(rng, field, rng.randint(2, 3)))
             n = f.degree
             for k in _right_degrees(n):
-                if (n // k) % p == 0:
+                if p and (n // k) % p == 0:
+                    continue
+                assert _tame_right_factor(f, k) == _ref_tame_right_factor(f, k)
+                if not p:
                     continue
                 brute = any(right_factor_quotient(f, Poly(field, (0,) + tail + (1,)))
                             for tail in product(range(p), repeat=k - 1))
@@ -506,14 +528,24 @@ def test_rational_divisor_route_matches_brute_force(rng, p):
             _assert_matches_reference(f, k)
 
 
+def _constant_on_p1(f):
+    """True when f takes one value on all of P^1(F_p): then no point a has
+    f(a) != f(inf), and u runs over every echelon u (the fallback)."""
+    return len(set(_ref_projective_table(f.numerator.coeffs, f.denominator.coeffs,
+                                          f.field.char))) == 1
+
+
 def test_constant_on_projective_line_uses_the_fallback(rng):
     f = parse_expression(_CONSTANT_ON_P1_MOD3, PrimeField(3))
-    assert _RightFactors(f).fallback
+    assert _constant_on_p1(f)
+    # all 3 echelon u of degree 2, each with the 4 divisors v of degree
+    # below 2 of the fiber at infinity
+    assert _RightFactors(f).size(2) == 12
     assert rat_decompose(f, 2, OracleBudget()).witness is not None
     fallbacks = [f]
     while len(fallbacks) < 6:
         f = _random_fp_ratfun(rng, 2, rng.choice((4, 6)), rng.randint(1, 3))
-        if _RightFactors(f).fallback:
+        if _constant_on_p1(f):
             fallbacks.append(f)
     for f in fallbacks:
         for k in _right_degrees(f.degree):
@@ -599,6 +631,127 @@ def test_solve_left_factor_unique():
     assert solve_left_factor(f, RatFun(fppoly(7, 2, 0, 0, 1), fppoly(7, 2, 1))) is None
     with pytest.raises(FieldMismatchError):
         solve_left_factor(f, RatFun(qpoly(1, 0, 0, 1), qpoly(2, 1)))
+
+
+def test_solve_left_factor_rejects_constant_right_factor():
+    f = parse_expression("(x^2+1)^2/x^2", QQ)
+    with pytest.raises(PreconditionError):
+        solve_left_factor(f, RatFun.constant(QQ, 3))
+
+
+def test_rat_decompose_rejects_k_zero():
+    f = parse_expression("(x^2+1)^2/x^2", PrimeField(3))
+    with pytest.raises(PreconditionError):
+        rat_decompose(f, 0, OracleBudget())
+
+
+# ---------------------------------------------------------------------------
+# the exact linear solve the expansion replaced, kept as its reference:
+# f1 * Qh - f2 * Ph = 0 on the 2(m + 1) coefficients of g = P/Q, solved by
+# Gauss-Jordan elimination
+
+
+def _ref_kernel(rows, ncols, p):
+    mat = [list(r) for r in rows if any(r)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = pow(mat[r][c], -1, p) if p else 1 / Fraction(mat[r][c])
+        mat[r] = [x * inv % p for x in mat[r]] if p else [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                factor = mat[i][c]
+                mat[i] = [(x - factor * y) % p if p else x - factor * y
+                          for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc] % p if p else -mat[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def _ref_solve_left_factor(f, h):
+    field, p = f.field, f.field.char
+    if f.degree % h.degree:
+        return None
+    m = f.degree // h.degree
+    u, v = h.numerator.coeffs, h.denominator.coeffs
+    upow, vpow = [[1]], [[1]]
+    for _ in range(m):
+        upow.append(mod_mul(upow[-1], u, p))
+        vpow.append(mod_mul(vpow[-1], v, p))
+    forms = [mod_mul(upow[j], vpow[m - j], p) for j in range(m + 1)]
+    minus_f2 = [-c for c in f.denominator.coeffs]
+    cols = ([mod_mul(f.numerator.coeffs, w, p) for w in forms]
+            + [mod_mul(minus_f2, w, p) for w in forms])
+    height = max(len(c) for c in cols)
+    rows = [[col[r] if r < len(col) else 0 for col in cols] for r in range(height)]
+    for vec in _ref_kernel(rows, 2 * (m + 1), p):
+        if any(vec[:m + 1]):
+            g = RatFun(Poly(field, vec[m + 1:]), Poly(field, vec[:m + 1]))
+            return g if rat_compose(g, h) == f else None
+    return None
+
+
+def _random_quotient(rng, field, du, dv):
+    """A reduced u/v with deg u = du and deg v = dv."""
+    while True:
+        f = RatFun(*(random_poly(rng, field, d, lc_choices=(1, 2, -1)) for d in (du, dv)))
+        if (f.numerator.degree, f.denominator.degree) == (du, dv):
+            return f
+
+
+@pytest.mark.parametrize("p", [0, 3, 5, 7, 11])
+def test_solve_left_factor_matches_linear_solve(rng, p):
+    # deg u > deg v, deg u = deg v (the shifted expansion) and deg u < deg v,
+    # on right factors and on non-factors of the same shape
+    field = field_of(p)
+    for du, dv in ((2, 0), (2, 1), (3, 1), (1, 1), (2, 2), (3, 3), (0, 2), (1, 2), (1, 3)):
+        for _ in range(3):
+            m = rng.randint(1, 3)
+            g = _random_quotient(rng, field, *rng.choice([(m, rng.randint(0, m)),
+                                                          (rng.randint(0, m - 1), m)]))
+            h = _random_quotient(rng, field, du, dv)
+            f = rat_compose(g, h)
+            assert solve_left_factor(f, h) == _ref_solve_left_factor(f, h) == g
+            other = _random_quotient(rng, field, du, dv)
+            assert solve_left_factor(f, other) == _ref_solve_left_factor(f, other)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_pairs_sharing_a_factor_never_expand(rng, p):
+    # the forms of (w a, w b) are w^m times those of (a, b), and f1, f2 are
+    # coprime, so a right factor's pair stops expanding once w is shared
+    field = PrimeField(p)
+    for _ in range(10):
+        du, dv = rng.choice(((2, 0), (2, 1), (3, 1), (0, 2), (1, 3)))
+        g = _random_quotient(rng, field, 2, rng.randint(0, 2))
+        h = _random_quotient(rng, field, du, dv)
+        f = rat_compose(g, h)
+        a, b = h.numerator, h.denominator
+        w = Poly(field, [rng.randrange(p) for _ in range(rng.randint(1, 2))] + [1])
+        f1, f2 = f.numerator.coeffs, f.denominator.coeffs
+        assert oracle._left_factor(f1, f2, a.coeffs, b.coeffs, 2, p) is not None
+        assert oracle._left_factor(f1, f2, (w * a).coeffs, (w * b).coeffs, 2, p) is None
+    # and every pair of the fallback that shares a factor, on its own space
+    f = parse_expression(_CONSTANT_ON_P1_MOD3, PrimeField(3))
+    f1, f2 = f.numerator.coeffs, f.denominator.coeffs
+    for k in _right_degrees(f.degree):
+        shared = [(u, v) for u, v in _RightFactors(f).candidates(k)
+                  if poly_gcd(Poly(f.field, u), Poly(f.field, v)).degree > 0]
+        assert shared
+        assert all(oracle._left_factor(f1, f2, u, v, f.degree // k, 3) is None for u, v in shared)
 
 
 def test_decompose_returns_ratfun_witnesses_on_every_route():

@@ -20,6 +20,10 @@ work in Z[x]:
 - The resultant is the subresultant PRS (Collins 1967; Brown-Traub 1971),
   whose divisions are exact in Z, so it returns the integer resultant
   itself.
+- Interpolation (`mod_interpolate`) keeps a divided difference in Z when it
+  divides exactly, which it always does for the values of an integer
+  polynomial at integer nodes, and falls back to an exact Fraction
+  otherwise.
 """
 
 from __future__ import annotations
@@ -222,6 +226,30 @@ def mod_gcd(a: list, b: list, p: int) -> list:
         a, b = b, a
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
+
+
+def mod_interpolate(xs: list, ys: list, p: int) -> list:
+    """Coefficients of the interpolant of degree < len(xs) through
+    (xs[i], ys[i]) at distinct nodes, by Newton's divided differences, mod
+    p or exactly when p = 0.  When p = 0 a difference quotient is an int
+    when it divides exactly and an exact Fraction otherwise."""
+    coeffs = list(ys)
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            num, den = coeffs[i] - coeffs[i - 1], xs[i] - xs[i - j]
+            if p:
+                coeffs[i] = num * pow(den, -1, p) % p
+            else:
+                q, r = divmod(num, den)
+                coeffs[i] = Fraction(num) / den if r else q
+    out = []
+    for i in range(n - 1, -1, -1):
+        out.insert(0, coeffs[i])  # out <- out * (x - xs[i]) + coeffs[i]
+        x = xs[i]
+        for k in range(len(out) - 1):
+            out[k] = (out[k] - x * out[k + 1]) % p if p else out[k] - x * out[k + 1]
+    return trim(out)
 
 
 def mod_eval(a: list, x, p: int):

@@ -176,11 +176,16 @@ def _left_factor(f1: list, f2: list, u: list, v: list, m: int, p: int):
     or None when either does not expand.  Needs deg u != deg v: the forms
     then have distinct degrees, and each digit is read off the leading
     term of what is left."""
-    upow, vpow = [[1]], [[1]]
+    upow = [[1]]
     for _ in range(m):
         upow.append(mod_mul(upow[-1], u, p))
-        vpow.append(mod_mul(vpow[-1], v, p))
-    forms = [mod_mul(upow[i], vpow[m - i], p) for i in range(m + 1)]
+    if len(v) == 1 and v[0] == 1:  # a polynomial candidate: every v^(m-i) is 1
+        forms = upow
+    else:
+        vpow = [[1]]
+        for _ in range(m):
+            vpow.append(mod_mul(vpow[-1], v, p))
+        forms = [mod_mul(upow[i], vpow[m - i], p) for i in range(m + 1)]
     order = range(m, -1, -1) if len(u) > len(v) else range(m + 1)  # by degree, descending
     digits = []
     for rest in (list(f1), list(f2)):
@@ -311,6 +316,8 @@ def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
 def rat_decompose_all_k(f: RatFun, budget: OracleBudget) -> SearchResult:
     """rat_decompose over every admissible right-factor degree, descending,
     all degrees together trying at most the budget's cap."""
+    if f.is_zero or f.is_constant:
+        raise PreconditionError("nonconstant function required")
     if not isinstance(f.field, PrimeField):
         raise PreconditionError("direct rational search runs over prime fields")
     return _search(_RightFactors(f), _right_degrees(f.degree), budget.candidate_cap)

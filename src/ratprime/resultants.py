@@ -8,14 +8,18 @@ denominators, Euclid on residues over F_p.  The polynomial-in-t resultants
 Res_x(a - t*b, c) evaluate at enough nodes and interpolate whenever the
 field has room, falling back to the direct determinant over polynomial
 entries when it does not; both paths are exact and are cross-checked in the
-test suite.
+test suite.  The nodes and the interpolation run in the kernel on plain
+lists: residue lists over F_p, and over Q integer lists cleared once, with
+integer values interpolated in Z (`_intpoly.mod_interpolate`) and one
+division by the cleared denominators at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from itertools import zip_longest
+from math import gcd as int_gcd, lcm
 
 from . import _intpoly
 from .errors import DegenerateDerivativeError, PreconditionError
@@ -123,27 +127,23 @@ def _tpoly_sylvester(a: Poly, b: Poly, c: Poly) -> Poly:
 
 
 def interpolate(field, xs, ys) -> Poly:
-    """Newton-form interpolation through (xs[i], ys[i]), exact in the field."""
-    coeffs = list(ys)
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = field.div(coeffs[i] - coeffs[i - 1], xs[i] - xs[i - j])
-    acc = Poly.zero(field)
-    for i in range(n - 1, -1, -1):
-        node = Poly(field, (-xs[i], field.one))
-        acc = acc * node + Poly.constant(field, coeffs[i])
-    return acc
+    """Newton-form interpolation through (xs[i], ys[i]) at distinct nodes,
+    exact in the field (the kernel's `mod_interpolate`)."""
+    if field.char:
+        xs, ys = [field(x) for x in xs], [field(y) for y in ys]
+        if len(set(xs)) < len(xs):  # the kernel's pow(0, -1, p) would raise ValueError
+            raise ZeroDivisionError("interpolation nodes repeat mod p")
+    return Poly(field, _intpoly.mod_interpolate(xs, ys, field.char))
 
 
 def _nodes(field, count: int, forbidden) -> list | None:
-    """count distinct evaluation nodes avoiding `forbidden`, or None if the
-    field is too small."""
+    """count distinct int evaluation nodes avoiding `forbidden`, or None if
+    the field is too small."""
     out = []
     if field.char == 0:
         k = 0
         while len(out) < count:
-            for cand in ([Fraction(0)] if k == 0 else [Fraction(k), Fraction(-k)]):
+            for cand in ([0] if k == 0 else [k, -k]):
                 if len(out) < count and cand not in forbidden:
                     out.append(cand)
             k += 1
@@ -164,6 +164,14 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     would vanish are excluded so specialization commutes with the
     determinant; if the field cannot supply enough nodes the direct
     polynomial-entry determinant is used instead.
+
+    The nodes run on kernel lists.  Over F_p a node's value is the Euclid
+    resultant of the residue list of a - t0*b.  Over Q a, b and c are
+    cleared once, to A/da, B/db and C/dc; with L = lcm(da, db), a node's
+    value is the subresultant PRS of the integer list
+    (L/da)*A - t0*(L/db)*B against C.  Those values lie on an integer
+    polynomial in t, so they interpolate in Z, and one division by
+    L^deg c * dc^n at the end gives the resultant over Q.
     """
     _same_field(a, b)
     _same_field(a, c)
@@ -183,8 +191,20 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     nodes = _nodes(field, bound + 1, forbidden)
     if nodes is None:
         return _tpoly_sylvester(a, b, c)
-    values = [resultant(a - b.scale(t0), c) for t0 in nodes]
-    return interpolate(field, nodes, values)
+    p = field.char
+    if p:
+        pairs = list(zip_longest(a.coeffs, b.coeffs, fillvalue=0))
+        values = [_intpoly.mod_resultant([(x - t0 * y) % p for x, y in pairs], c.coeffs, p)
+                  for t0 in nodes]
+        return interpolate(field, nodes, values)
+    (ai, da), (bi, db), (ci, dc) = map(_intpoly._clear, (a.coeffs, b.coeffs, c.coeffs))
+    lden = lcm(da, db)
+    pairs = list(zip_longest([x * (lden // da) for x in ai], [y * (lden // db) for y in bi],
+                             fillvalue=0))
+    values = [_intpoly.prs_resultant([x - t0 * y for x, y in pairs], ci) for t0 in nodes]
+    den = lden ** bound * dc ** n
+    res = interpolate(field, nodes, values)
+    return res if den == 1 else res.scale(Fraction(1, den))
 
 
 def disc_in_t(f: Poly) -> Poly:

@@ -645,6 +645,14 @@ def test_rat_decompose_rejects_k_zero():
         rat_decompose(f, 0, OracleBudget())
 
 
+@pytest.mark.parametrize("text", ["3", "0"])
+def test_rat_decompose_all_k_rejects_constant(text):
+    # an empty search here used to read as an exhaustive proof of absence
+    f = parse_expression(text, PrimeField(5))
+    with pytest.raises(PreconditionError):
+        rat_decompose_all_k(f, OracleBudget())
+
+
 # ---------------------------------------------------------------------------
 # the exact linear solve the expansion replaced, kept as its reference:
 # f1 * Qh - f2 * Ph = 0 on the 2(m + 1) coefficients of g = P/Q, solved by

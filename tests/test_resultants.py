@@ -256,6 +256,38 @@ def test_rational_interpolation_route_matches_direct(rng):
                                                          deriv.numerator)
 
 
+def _fraction_poly(rng, field, degree, lc):
+    """Exact degree, non-integral coefficients with mixed denominators
+    (none divisible by 3 or 7 off Q)."""
+    dens = (2, 4, 5) if field.char else (2, 3, 4, 6)
+    coeffs = [Fraction(rng.randint(-5, 5), rng.choice(dens)) for _ in range(degree)]
+    return Poly(field, coeffs + [lc])
+
+
+@pytest.mark.parametrize("p", [0, 7, 3])
+def test_interpolation_route_matches_direct_with_denominators(rng, p):
+    # a - t*b and c carry denominators, so over Q every node clears them and
+    # the interpolant is divided once; p = 3 <= deg c takes the direct
+    # determinant instead
+    field = field_of(p)
+    ratios = (0, 1, -1, 2, Fraction(1, 2))  # a_n / b_n, integral nodes first
+    for trial in range(30):
+        n = rng.randint(1, 3)
+        c = _fraction_poly(rng, field, rng.randint(3, 4) if p else rng.randint(1, 4),
+                           Fraction(rng.choice((1, -2, 4)), rng.choice((1, 2, 5))))
+        if trial % 3 == 0:  # deg b < n
+            a = _fraction_poly(rng, field, n, Fraction(rng.choice((1, -5)), 2))
+            b = _fraction_poly(rng, field, rng.randint(0, n - 1), Fraction(2, 5))
+        else:  # deg b = n, a_n = r * b_n (a_n = 0 when r = 0)
+            b_n = Fraction(rng.choice((1, -1, 5)), rng.choice((2, 4)))
+            b = _fraction_poly(rng, field, n, b_n)
+            a = _fraction_poly(rng, field, n, ratios[trial % len(ratios)] * b_n)
+        assert max(a.degree, b.degree) == n and (b.degree == n) == (trial % 3 != 0)
+        if p == 3:
+            assert c.degree >= p
+        assert res_x_linear_t(a, b, c) == _tpoly_sylvester(a, b, c)
+
+
 def test_small_field_falls_back_to_direct_determinant():
     # degree-6 polynomial over F_5 needs 6 nodes but only 5 exist
     field = PrimeField(5)
@@ -428,3 +460,40 @@ def test_interpolate_recovers_polynomial(rng):
             xs = [field(i) for i in range(f.degree + 1 if f.degree >= 0 else 1)]
             ys = [f(x) for x in xs]
             assert interpolate(field, xs, ys) == f
+
+
+def _ref_interpolate(field, xs, ys):
+    """The Newton loop on field scalars and `Poly`s that the kernel's
+    `mod_interpolate` replaced, kept as the reference."""
+    coeffs = list(ys)
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs[i] = field.div(coeffs[i] - coeffs[i - 1], xs[i] - xs[i - j])
+    acc = Poly.zero(field)
+    for i in range(n - 1, -1, -1):
+        node = Poly(field, (-xs[i], field.one))
+        acc = acc * node + Poly.constant(field, coeffs[i])
+    return acc
+
+
+def test_interpolate_matches_newton_reference(rng):
+    for _ in range(20):
+        # Q: Fraction nodes and values (halves), and int nodes with int
+        # values off any integer polynomial, where a division is inexact
+        count = rng.randint(1, 6)
+        xs = [Fraction(k, 2) for k in rng.sample(range(-9, 10), count)]
+        ys = [Fraction(rng.randint(-9, 9), 2) for _ in xs]
+        assert interpolate(QQ, xs, ys) == _ref_interpolate(QQ, xs, ys)
+        ints = rng.sample(range(-9, 10), count)
+        values = [rng.randint(-9, 9) for _ in ints]
+        assert interpolate(QQ, ints, values) == _ref_interpolate(QQ, ints, values)
+        # F_p with fqring's nodes, range(p), and a random value table
+        p = rng.choice((2, 3, 5, 7, 13))
+        table = [rng.randrange(p) for _ in range(p)]
+        out = interpolate(PrimeField(p), range(p), table)
+        assert out == _ref_interpolate(PrimeField(p), list(range(p)), table)
+        assert [out(a) for a in range(p)] == table
+    for field in (QQ, PrimeField(5)):  # repeated nodes (0 = 5 mod 5)
+        with pytest.raises(ZeroDivisionError):
+            interpolate(field, [0, 5 if field.char else 0], [1, 2])

@@ -7,16 +7,24 @@ Grammar (no implicit multiplication, '^' takes a natural-number literal):
     factor := base ('^' natural)?
     base   := 'x' | integer | '(' expr ')'
 
-Integer literals map into the coefficient field (mod p over prime fields);
-'/' builds genuine rational functions.  The printer emits strings inside
-the same grammar, so print-then-parse is the identity.
+Integer literals map into the coefficient field (mod p over prime fields).
+Every sub-expression without a division by a nonconstant is evaluated as a
+`Poly`: '+', '-' and '*' are `Poly` operations, a constant factor or a
+constant divisor is a `Poly.scale` (by the field inverse for '/'), and a
+power of a monomial c*x^d is built as c^n*x^(d*n) without products.  Only a
+division by a nonconstant builds a `RatFun`; from then on, an operation with
+a `RatFun` operand lifts both sides to `RatFun`.  `parse_expression` makes
+one `RatFun` of a polynomial result at the end.  A power whose degree
+deg(base)*n exceeds MAX_POWER_DEGREE is a precondition error, raised before
+the power is built.  The printer emits strings inside the same grammar, so
+print-then-parse is the identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import RatPrimeError
+from .errors import PreconditionError, RatPrimeError
 from .fields import Field
 from .poly import Poly
 from .ratfun import RatFun
@@ -29,6 +37,10 @@ class ParseError(RatPrimeError):
 
 
 _SYMBOLS = set("+-*/^()")
+
+# the largest degree a power in an expression may have; (x+1)^500, the
+# largest power in use, stays far below it
+MAX_POWER_DEGREE = 10_000
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -84,41 +96,57 @@ class _Parser:
         except ValueError:
             raise ParseError(f"literal of {len(tok[1])} digits is too long", tok[2]) from None
 
-    def expr(self) -> RatFun:
+    def expr(self) -> Poly | RatFun:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take(self.peek()[0])
             rhs = self.term()
+            if isinstance(value, RatFun) or isinstance(rhs, RatFun):
+                value, rhs = _lift(value), _lift(rhs)
             value = value + rhs if op[0] == "+" else value - rhs
         return value
 
-    def term(self) -> RatFun:
+    def term(self) -> Poly | RatFun:
         value = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.take(self.peek()[0])
             rhs = self.factor()
-            if op[0] == "*":
-                value = value * rhs
+            divide = op[0] == "/"
+            if divide and rhs.is_zero:
+                raise ParseError("division by the zero polynomial", op[2])
+            if isinstance(value, RatFun) or isinstance(rhs, RatFun):
+                value, rhs = _lift(value), _lift(rhs)
+                value = value / rhs if divide else value * rhs
+            elif divide:
+                value = (RatFun(value, rhs) if rhs.degree > 0 else
+                         value.scale(self.field.div(self.field.one, rhs.coeffs[0])))
+            elif value.degree <= 0:
+                value = rhs.scale(value.coeff(0))
+            elif rhs.degree <= 0:
+                value = value.scale(rhs.coeff(0))
             else:
-                if rhs.is_zero:
-                    raise ParseError("division by the zero polynomial", op[2])
-                value = value / rhs
+                value = value * rhs
         return value
 
-    def factor(self) -> RatFun:
+    def factor(self) -> Poly | RatFun:
         value = self.base()
         if self.peek()[0] == "^":
             self.take("^")
-            value = value ** self.natural(self.take("int"))
+            n = self.natural(self.take("int"))
+            degree = 0 if value.is_zero else value.degree
+            if degree * n > MAX_POWER_DEGREE:
+                raise PreconditionError(f"a power of degree {degree * n} exceeds the "
+                                        f"bound {MAX_POWER_DEGREE} on a power's degree")
+            value = value ** n
         return value
 
-    def base(self) -> RatFun:
+    def base(self) -> Poly | RatFun:
         tok = self.peek()
         if tok[0] == "x":
             self.take("x")
-            return RatFun(Poly.x(self.field))
+            return Poly.x(self.field)
         if tok[0] == "int":
-            return RatFun.constant(self.field, self.natural(self.take("int")))
+            return Poly.constant(self.field, self.natural(self.take("int")))
         if tok[0] == "(":
             self.take("(")
             value = self.expr()
@@ -128,11 +156,15 @@ class _Parser:
                          f"{tok[1] or 'end of input'!r}", tok[2])
 
 
+def _lift(value: Poly | RatFun) -> RatFun:
+    return value if isinstance(value, RatFun) else RatFun(value)
+
+
 def parse_expression(source: str, field: Field) -> RatFun:
     parser = _Parser(_tokenize(source), field)
     value = parser.expr()
     parser.take("end")
-    return value
+    return _lift(value)
 
 
 # ---------------------------------------------------------------------------

@@ -86,15 +86,24 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field,
-                    [self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for i, c in enumerate(b):
+            if c:
+                cs[i] += c
+        return Poly(self.field, cs)
 
     def __sub__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field,
-                    [self.coeff(i) - other.coeff(i) for i in range(n)])
+        b = other.coeffs
+        cs = list(self.coeffs)
+        cs.extend([self.field.zero] * (len(b) - len(cs)))
+        for i, c in enumerate(b):
+            if c:
+                cs[i] -= c
+        return Poly(self.field, cs)
 
     def __neg__(self) -> "Poly":
         return Poly(self.field, [-c for c in self.coeffs])
@@ -107,6 +116,11 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise PreconditionError("negative polynomial power")
+        cs = self.coeffs
+        if cs and not any(cs[:-1]):  # c*x^d: c^n*x^(d*n), no products
+            p = self.field.char
+            top = pow(cs[-1], n, p) if p else cs[-1] ** n
+            return Poly(self.field, [self.field.zero] * (len(cs) - 1) * n + [top])
         result = Poly.one(self.field)
         base = self
         while n:
@@ -119,7 +133,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = self.field(c)
-        return Poly(self.field, [a * c for a in self.coeffs])
+        return Poly(self.field, [a * c if a else a for a in self.coeffs])
 
     # -- evaluation and calculus -------------------------------------------
 

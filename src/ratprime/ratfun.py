@@ -82,20 +82,14 @@ class RatFun:
             raise PreconditionError(f"{a!r} is a pole")
         return self.field.div(self.numerator(a), bottom)
 
-    # -- field arithmetic (what the expression parser builds on) -----------
+    # -- field arithmetic (the parser uses it only for genuine fractions) ---
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        # a shared denominator (Poly.one for every polynomial term the
-        # parser adds) needs no products; the constructor still reduces
-        if self.denominator == other.denominator:
-            return RatFun(self.numerator + other.numerator, self.denominator)
         return RatFun(self.numerator * other.denominator
                       + other.numerator * self.denominator,
                       self.denominator * other.denominator)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
-        if self.denominator == other.denominator:
-            return RatFun(self.numerator - other.numerator, self.denominator)
         return RatFun(self.numerator * other.denominator
                       - other.numerator * self.denominator,
                       self.denominator * other.denominator)

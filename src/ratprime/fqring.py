@@ -142,5 +142,6 @@ def count_permutations(p: int) -> int:
         raise PreconditionError("exhaustive enumeration capped at p <= 5")
     count = sum(1 for values in product(range(p), repeat=p)
                 if len(set(values)) == p)
-    assert count == factorial(p)
+    if count != factorial(p):
+        raise AssertionError("unit count differs from p! (internal bug)")
     return count

@@ -22,6 +22,7 @@ print-then-parse is the identity.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import PreconditionError, RatPrimeError
@@ -36,7 +37,11 @@ class ParseError(RatPrimeError):
         self.position = position
 
 
-_SYMBOLS = set("+-*/^()")
+# the source splits into decimal literals, whitespace runs and single
+# characters; \d and \s accept exactly what str.isdecimal and str.isspace
+# accept, and a symbol or 'x' is its own token kind
+_TOKEN = re.compile(r"\d+|\s+|\S")
+_SYMBOLS = frozenset("+-*/^()x")
 
 # the largest degree a power in an expression may have; (x+1)^500, the
 # largest power in use, stays far below it
@@ -45,28 +50,15 @@ MAX_POWER_DEGREE = 10_000
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(source):
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < len(source) and source[j].isdecimal():
-                j += 1
-            tokens.append(("int", source[i:j], i))
-            i = j
-            continue
-        if c == "x":
-            tokens.append(("x", c, i))
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+    pos = 0
+    for text in _TOKEN.findall(source):
+        if text in _SYMBOLS:
+            tokens.append((text, text, pos))
+        elif text.isdecimal():
+            tokens.append(("int", text, pos))
+        elif not text.isspace():
+            raise ParseError(f"unexpected character {text!r}", pos)
+        pos += len(text)
     tokens.append(("end", "", len(source)))
     return tokens
 

@@ -1,17 +1,16 @@
 """Resultants, discriminants, and critical-value bookkeeping.
 
 Two exact routes coexist on purpose.  `sylvester_resultant` is the
-definitional one: the Bareiss determinant of the Sylvester matrix, usable
-with scalar or polynomial entries.  `resultant` is the fast one, the
-kernel's `mod_resultant`: the subresultant PRS over Z after clearing
-denominators, Euclid on residues over F_p.  The polynomial-in-t resultants
-Res_x(a - t*b, c) evaluate at enough nodes and interpolate whenever the
-field has room, falling back to the direct determinant over polynomial
-entries when it does not; both paths are exact and are cross-checked in the
-test suite.  The nodes and the interpolation run in the kernel on plain
-lists: residue lists over F_p, and over Q integer lists cleared once, with
-integer values interpolated in Z (`_intpoly.mod_interpolate`) and one
-division by the cleared denominators at the end.
+definitional one: the Bareiss determinant of the Sylvester matrix.
+`resultant` is the fast one, the kernel's `mod_resultant`: the
+subresultant PRS over Z after clearing denominators, Euclid on residues
+over F_p.  The polynomial-in-t resultants Res_x(a - t*b, c) evaluate at
+deg c + 1 nodes and interpolate, on plain kernel lists: residue lists over
+F_p when the field has that many good residues, and otherwise integer
+lists (cleared once over Q, residues read as integers over a small F_p),
+with integer values interpolated in Z (`_intpoly.mod_interpolate`) and one
+division by the cleared denominators, or one reduction mod p, at the end.  The test suite cross-checks both
+routes against the determinant with polynomial entries.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ from math import gcd as int_gcd, lcm
 
 from . import _intpoly
 from .errors import DegenerateDerivativeError, PreconditionError
+from .fields import QQ
 from .numutil import greatest_proper_divisor
-from .poly import NEG_INF, Poly, _same_field, poly_compose, poly_exact_div
+from .poly import NEG_INF, Poly, _same_field, poly_compose
 from .ratfun import RatFun, rat_compose
 from .squarefree import SquarefreeFactorization, squarefree_decompose
 
@@ -113,19 +113,6 @@ def discriminant(f: Poly):
 # Resultants with the auxiliary variable t
 
 
-def _tpoly_sylvester(a: Poly, b: Poly, c: Poly) -> Poly:
-    """Res_x(a(x) - t*b(x), c(x)) by Bareiss with entries in K[t] (slow,
-    always works)."""
-    field = c.field
-    n = max(len(a.coeffs), len(b.coeffs))
-    # x-coefficients of a - t*b, descending; the leading one is nonzero
-    cols = [Poly(field, (a.coeff(i), -b.coeff(i))) for i in reversed(range(n))]
-    zero = Poly.zero(field)
-    rows = _sylvester_rows(cols, [Poly.constant(field, cc) for cc in reversed(c.coeffs)],
-                           zero)
-    return bareiss_determinant(rows, zero, Poly.one(field), poly_exact_div)
-
-
 def interpolate(field, xs, ys) -> Poly:
     """Newton-form interpolation through (xs[i], ys[i]) at distinct nodes,
     exact in the field (the kernel's `mod_interpolate`)."""
@@ -136,42 +123,39 @@ def interpolate(field, xs, ys) -> Poly:
     return Poly(field, _intpoly.mod_interpolate(xs, ys, field.char))
 
 
-def _nodes(field, count: int, forbidden) -> list | None:
-    """count distinct int evaluation nodes avoiding `forbidden`, or None if
-    the field is too small."""
+def _nodes(count: int, forbidden) -> list[int]:
+    """count distinct integer nodes 0, 1, -1, 2, -2, ... avoiding `forbidden`."""
     out = []
-    if field.char == 0:
-        k = 0
-        while len(out) < count:
-            for cand in ([0] if k == 0 else [k, -k]):
-                if len(out) < count and cand not in forbidden:
-                    out.append(cand)
-            k += 1
-        return out
-    for v in range(field.char):
-        if v not in forbidden:
-            out.append(v)
-        if len(out) == count:
-            return out
-    return None
+    k = 0
+    while len(out) < count:
+        for cand in ([0] if k == 0 else [k, -k]):
+            if len(out) < count and cand not in forbidden:
+                out.append(cand)
+        k += 1
+    return out
 
 
 def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     """Res_x(a(x) - t*b(x), c(x)) as an exact polynomial in t.
 
     The t-degree is at most deg c (only the deg-c rows of the Sylvester
-    matrix carry t).  Nodes where the x-leading coefficient of a - t*b
-    would vanish are excluded so specialization commutes with the
-    determinant; if the field cannot supply enough nodes the direct
-    polynomial-entry determinant is used instead.
+    matrix carry t), so deg c + 1 nodes determine it.  Nodes where the
+    x-leading coefficient of a - t*b would vanish are excluded so
+    specialization commutes with the determinant.
 
-    The nodes run on kernel lists.  Over F_p a node's value is the Euclid
-    resultant of the residue list of a - t0*b.  Over Q a, b and c are
-    cleared once, to A/da, B/db and C/dc; with L = lcm(da, db), a node's
-    value is the subresultant PRS of the integer list
-    (L/da)*A - t0*(L/db)*B against C.  Those values lie on an integer
-    polynomial in t, so they interpolate in Z, and one division by
-    L^deg c * dc^n at the end gives the resultant over Q.
+    The nodes run on kernel lists, on one of two routes.  Over F_p with
+    deg c + 1 residues besides the bad node a_n/b_n, a node's value is the
+    Euclid resultant of the residue list of a - t0*b.  Otherwise the
+    integer route runs: over Q a, b and c are cleared once, to A/da, B/db
+    and C/dc, and over a smaller F_p their residues are read as integers A,
+    B, C with da = db = dc = 1.  With L = lcm(da, db), a node's value is the
+    subresultant PRS of the integer list (L/da)*A - t0*(L/db)*B against C
+    at integer nodes avoiding A_n/B_n over Q.  Those values lie on an
+    integer polynomial in t, so they interpolate in Z, and one division by
+    L^deg c * dc^n at the end gives the resultant over Q.  Over F_p the
+    lifts keep their lengths, so the integer Sylvester determinant has the
+    same shape and reduces mod p to the one over F_p (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 6); `Poly` reduces it.
     """
     _same_field(a, b)
     _same_field(a, c)
@@ -184,26 +168,30 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     if c.degree == 0:
         return Poly.constant(field, c.lc ** n)
     bound = c.degree
-    forbidden = set()
-    if b.coeff(n):
-        # lc in x is a.coeff(n) - t*b.coeff(n); one bad node
-        forbidden.add(field.div(a.coeff(n), b.coeff(n)))
-    nodes = _nodes(field, bound + 1, forbidden)
-    if nodes is None:
-        return _tpoly_sylvester(a, b, c)
     p = field.char
     if p:
         pairs = list(zip_longest(a.coeffs, b.coeffs, fillvalue=0))
-        values = [_intpoly.mod_resultant([(x - t0 * y) % p for x, y in pairs], c.coeffs, p)
-                  for t0 in nodes]
-        return interpolate(field, nodes, values)
-    (ai, da), (bi, db), (ci, dc) = map(_intpoly._clear, (a.coeffs, b.coeffs, c.coeffs))
-    lden = lcm(da, db)
-    pairs = list(zip_longest([x * (lden // da) for x in ai], [y * (lden // db) for y in bi],
-                             fillvalue=0))
+        an, bn = pairs[-1]
+        # lc in x is a_n - t*b_n; one bad node when b_n != 0
+        bad = {field.div(an, bn)} if bn else ()
+        if p - len(bad) > bound:
+            nodes = [v for v in range(bound + 2) if v not in bad][:bound + 1]
+            values = [_intpoly.mod_resultant([(x - t0 * y) % p for x, y in pairs],
+                                             c.coeffs, p) for t0 in nodes]
+            return interpolate(field, nodes, values)
+        ci = c.coeffs
+    else:
+        (ai, da), (bi, db), (ci, dc) = map(_intpoly._clear, (a.coeffs, b.coeffs, c.coeffs))
+        lden = lcm(da, db)
+        pairs = list(zip_longest([x * (lden // da) for x in ai],
+                                 [y * (lden // db) for y in bi], fillvalue=0))
+        an, bn = pairs[-1]
+    nodes = _nodes(bound + 1, {Fraction(an, bn)} if bn else ())
     values = [_intpoly.prs_resultant([x - t0 * y for x, y in pairs], ci) for t0 in nodes]
+    res = interpolate(QQ, nodes, values)
+    if p:
+        return Poly(field, res.coeffs)
     den = lden ** bound * dc ** n
-    res = interpolate(field, nodes, values)
     return res if den == 1 else res.scale(Fraction(1, den))
 
 

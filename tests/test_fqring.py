@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import ratprime
 from ratprime import (FqClass, Poly, PreconditionError, PrimeField,
                       all_functions, classify, count_permutations, from_table,
                       identity_function, is_permutation, poly_compose, reduce_ring,
@@ -162,6 +167,18 @@ def test_count_permutations_small():
     assert count_permutations(3) == 6
     with pytest.raises(PreconditionError):
         count_permutations(7)
+
+
+def test_count_permutations_check_survives_optimize():
+    # python -O strips assert statements; the internal count check must not
+    # be one, so a wrong p! still raises there
+    code = ("import ratprime.fqring as m\n"
+            "m.factorial = lambda p: 0\n"
+            "try:\n    m.count_permutations(3)\n"
+            "except AssertionError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ratprime.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

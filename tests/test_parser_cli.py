@@ -216,6 +216,59 @@ def test_parse_error_positions_match_reference(p, source, position):
     assert _outcome(source, field, parse_expression)[1] == position
 
 
+def _reference_tokenize(source):
+    """The character-walking tokenizer the compiled regex replaced."""
+    tokens = []
+    i = 0
+    while i < len(source):
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < len(source) and source[j].isdecimal():
+                j += 1
+            tokens.append(("int", source[i:j], i))
+            i = j
+            continue
+        if c in "x+-*/^()":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", len(source)))
+    return tokens
+
+
+def _tokens(source, tokenize):
+    try:
+        return tokenize(source)
+    except ParseError as exc:
+        return "error", exc.position, str(exc)
+
+
+# Arabic-Indic and Devanagari digits are decimal; superscript two and circled
+# one are digits but not decimal; NBSP, ideographic space, em space, line
+# separator and the file separator \x1c are whitespace
+@pytest.mark.parametrize("source", [
+    "x^\u0663", "\u0663\u0664*x+\u0967", "x\u00a0+\u30001", "\x1cx", "x\x1c",
+    "x\u2003-\u20282", "x^\u00b2", "x+\u2460", "1 2", "x$", " \t\n", ""])
+def test_tokenize_matches_reference_on_unicode(source):
+    assert _tokens(source, _tokenize) == _tokens(source, _reference_tokenize)
+
+
+@given(source=st.text(st.characters(categories=("Nd", "No", "Zs", "Zl", "Cc"))
+                      | st.sampled_from("x+-*/^()$"), max_size=12))
+def test_tokenize_matches_reference(source):
+    assert _tokens(source, _tokenize) == _tokens(source, _reference_tokenize)
+
+
+def test_parse_reads_unicode_digits_and_spaces():
+    assert (parse_expression("x^\u0663\u00a0+\x1c\u0661\u0662", QQ)
+            == parse_expression("x^3+12", QQ))
+
+
 # ---------------------------------------------------------------------------
 # printing and round trips
 

@@ -10,7 +10,9 @@ from ratprime import (DegenerateDerivativeError, Poly, PreconditionError,
                       poly_compose, rat_compose, rat_resultant_in_t,
                       res_x_linear_t, resultant, split_discriminant,
                       sylvester_matrix, sylvester_resultant)
-from ratprime.resultants import _tpoly_sylvester
+from ratprime import resultants
+from ratprime.poly import poly_exact_div
+from ratprime.resultants import _sylvester_rows, bareiss_determinant
 from conftest import (field_of, fppoly, qpoly, random_poly, random_ratfun,
                       sympy_fraction, to_sympy, untimed)
 
@@ -32,6 +34,19 @@ def _naive_det(rows):
         term = term if sign > 0 else -term
         total = term if total is None else total + term
     return total
+
+
+def _tpoly_sylvester(a: Poly, b: Poly, c: Poly) -> Poly:
+    """Res_x(a(x) - t*b(x), c(x)) by Bareiss with entries in K[t]: the
+    definitional reference for `res_x_linear_t`."""
+    field = c.field
+    n = max(len(a.coeffs), len(b.coeffs))
+    # x-coefficients of a - t*b, descending; the leading one is nonzero
+    cols = [Poly(field, (a.coeff(i), -b.coeff(i))) for i in reversed(range(n))]
+    zero = Poly.zero(field)
+    rows = _sylvester_rows(cols, [Poly.constant(field, cc) for cc in reversed(c.coeffs)],
+                           zero)
+    return bareiss_determinant(rows, zero, Poly.one(field), poly_exact_div)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +282,8 @@ def _fraction_poly(rng, field, degree, lc):
 @pytest.mark.parametrize("p", [0, 7, 3])
 def test_interpolation_route_matches_direct_with_denominators(rng, p):
     # a - t*b and c carry denominators, so over Q every node clears them and
-    # the interpolant is divided once; p = 3 <= deg c takes the direct
-    # determinant instead
+    # the interpolant is divided once; p = 3 <= deg c takes the integer route
+    # on the residues
     field = field_of(p)
     ratios = (0, 1, -1, 2, Fraction(1, 2))  # a_n / b_n, integral nodes first
     for trial in range(30):
@@ -288,13 +303,68 @@ def test_interpolation_route_matches_direct_with_denominators(rng, p):
         assert res_x_linear_t(a, b, c) == _tpoly_sylvester(a, b, c)
 
 
-def test_small_field_falls_back_to_direct_determinant():
+def test_small_field_takes_integer_route():
     # degree-6 polynomial over F_5 needs 6 nodes but only 5 exist
     field = PrimeField(5)
     f = fppoly(5, 1, 2, 0, 1, 0, 0, 1)
     d = disc_in_t(f)
     raw = _tpoly_sylvester(f, Poly.one(field), f.derivative())
     assert d == raw.scale(field.div(-1, f.lc))  # n = 6: sign (-1)^15
+
+
+# over F_2 every nonzero residue lifts to 1, so A_n/B_n is always integral
+@pytest.mark.parametrize("p, lead", [(p, lead) for p in (2, 3, 5, 7)
+                                     for lead in ("b_n = 0", "integral", "non-integral")
+                                     if (p, lead) != (2, "non-integral")])
+def test_route_switch_matches_direct_determinant(rng, p, lead):
+    # p = deg c + 1 is the switch: residue nodes when b_n = 0, integer nodes
+    # when b_n != 0 excludes one residue; deg c = p, p + 1 always take the
+    # integer route, deg c = p - 2 never does
+    field = PrimeField(p)
+    for bound in (p - 2, p - 1, p, p + 1):
+        if bound < 1:
+            continue
+        for _ in range(4):
+            n = rng.randint(1, 3)
+            c = Poly(field, [rng.randrange(p) for _ in range(bound)] + [rng.randrange(1, p)])
+            if lead == "b_n = 0":
+                a_n, b_n = rng.randrange(1, p), 0
+            elif lead == "integral":  # A_n/B_n is 0 or 1, both integer nodes
+                b_n = rng.randrange(1, p)
+                a_n = rng.choice((0, b_n))
+            else:  # A_n/B_n = 1/2 over Q
+                a_n, b_n = 1, 2
+            a = Poly(field, [rng.randrange(p) for _ in range(n)] + [a_n])
+            b = Poly(field, [rng.randrange(p) for _ in range(n)] + [b_n])
+            assert max(len(a.coeffs), len(b.coeffs)) == n + 1
+            assert res_x_linear_t(a, b, c) == _tpoly_sylvester(a, b, c)
+        count = 0
+        while count < 3:
+            num, den = ([rng.randrange(p) for _ in range(rng.randint(1, k))] + [1]
+                        for k in (bound + 1, 3))
+            f = RatFun(Poly(field, num), Poly(field, den))
+            if f.is_constant or f.derivative().numerator.is_zero:
+                continue
+            count += 1
+            assert rat_resultant_in_t(f) == _tpoly_sylvester(
+                f.numerator, f.denominator, f.derivative().numerator)
+
+
+def test_small_field_evaluates_no_polynomial_determinant(rng, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return bareiss_determinant(*args)
+
+    monkeypatch.setattr(resultants, "bareiss_determinant", counting)
+    field = PrimeField(3)
+    for degree in (8, 10, 14):
+        f = random_poly(rng, field, degree, lc_choices=(1, 2))
+        assert f.derivative().degree >= 3  # F_3 has too few nodes
+        disc_in_t(f)
+        rat_resultant_in_t(RatFun(f, random_poly(rng, field, 3, lc_choices=(1, 2))))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,13 @@ and the polynomial kernel for both fields (`mod_*`) on trimmed coefficient
 lists, where p is the characteristic: ints in [0, p) over F_p, and p = 0
 meaning exact entries (ints or Fractions) over Q.  Both fields share one
 division loop, `mod_divmod`: the F_p gcd and the F_p resultant are Euclid
-on its remainders.
+on its remainders.  Both division loops (`mod_divmod` mod p, `pseudo_rem`)
+run the normal step, deg f = deg g + 1, in one pass.  Both resultants run
+one remainder sequence, `_res_sequence`: Euclid mod p, the subresultant PRS
+over Z.  `res_linear_nodes` evaluates Res_x(a - t*b, c) at many nodes t0:
+it runs the first steps of that sequence once for all nodes, on remainders
+r0 + t*r1 whose quotients and leading coefficients carry no t, and only
+the rest per node (its docstring has the proof).
 
 Over Q (p = 0) the kernel clears denominators once (`_clear`) and does its
 work in Z[x]:
@@ -21,7 +27,8 @@ work in Z[x]:
   remainder and avoids the coefficient blowup of fraction Euclid.
 - The resultant is the subresultant PRS (Collins 1967; Brown-Traub 1971),
   whose divisions are exact in Z, so it returns the integer resultant
-  itself.
+  itself.  The same holds over Z[t], which makes the shared steps of
+  `res_linear_nodes` exact in Z.
 - Interpolation (`mod_interpolate`) keeps a divided difference in Z when it
   divides exactly, which it always does for the values of an integer
   polynomial at integer nodes, and falls back to an exact Fraction
@@ -31,6 +38,7 @@ work in Z[x]:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 # the word prime of the modular exit in the Q gcd (`mod_gcd`)
@@ -69,10 +77,16 @@ def pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     """Strict pseudo-remainder: lc(g)^(deg f - deg g + 1) * f = q*g + r.
 
     Requires deg f >= deg g >= 0 with g nonzero.  Scales at every step so
-    the total scale factor is exactly lc(g)^(deg f - deg g + 1).
+    the total scale factor is exactly lc(g)^(deg f - deg g + 1).  The normal
+    step (deg f = deg g + 1 >= 2) runs in one pass: r = lc^2 * f - q*g with
+    q = lc*f_n*x + lc*f_(n-1) - f_n*g_(m-1).
     """
     df, dg = len(f) - 1, len(g) - 1
     lead = g[-1]
+    if df == dg + 1 and dg:
+        fn = f[-1]
+        q1, q0, lead = lead * fn, lead * f[-2] - fn * g[-2], lead * lead
+        return trim([lead * x - q0 * y - q1 * z for x, y, z in zip(f, g, (0, *g))])
     r = list(f)
     for k in range(df - dg, -1, -1):
         c = r[k + dg]
@@ -102,35 +116,120 @@ def prs_gcd(f: list[int], g: list[int]) -> list[int]:
 
 
 def prs_resultant(f: list[int], g: list[int]) -> int:
-    """Resultant of nonzero trimmed integer lists by the subresultant PRS.
+    """Resultant of nonzero trimmed integer lists, not both constant, by the
+    subresultant PRS (`_res_sequence` with p = 0)."""
+    return _res_sequence(f, g, 0)
 
-    Each step swaps to Res(g, f) with the sign (-1)^(deg f * deg g) and
-    replaces f by prem(f, g) / (lc_prev * h^delta); the scalars lc_prev and
-    h (h <- lc^delta / h^(delta - 1)) make that division, and the one at the
-    end, exact in Z (Cohen, A Course in Computational Algebraic Number
+
+def _rem(f: list, g: list, p: int) -> list:
+    """The remainder of one resultant step: Euclid's mod p, the
+    pseudo-remainder over Z (p = 0)."""
+    return mod_divmod(f, g, p)[1] if p else pseudo_rem(f, g)
+
+
+def _step_scalars(df: int, dg: int, dr: int, lc, p: int, sign: int, u, h):
+    """(sign, u, h, scale) after a step from degrees (df, dg) to a remainder
+    of degree dr, with lc = lc(g).  Mod p, u accumulates lc^(df - dr) and
+    scale is 1.  Over Z, scale = u * h^delta is the exact divisor of the
+    pseudo-remainder, u becomes lc and h <- lc^delta / h^(delta - 1)."""
+    if df * dg % 2:
+        sign = -sign
+    if p:
+        return sign, u * pow(lc, df - dr, p) % p, h, 1
+    delta = df - dg
+    scale = u * h ** delta
+    if delta:
+        h = lc ** delta // h ** (delta - 1)
+    return sign, lc, h, scale
+
+
+def _res_sequence(f: list, g: list, p: int, sign: int = 1, u=1, h=1):
+    """Res(f, g) of nonzero trimmed lists, not both constant, by the
+    remainder sequence, from the state (sign, u, h) that earlier steps left
+    (the defaults start it).
+
+    Mod p it is Euclid: Res(f, g) = (-1)^(deg f * deg g) lc(g)^(deg f -
+    deg r) Res(g, r) with r = f mod g, and u is the product of those powers.
+    Over Z (p = 0) it is the subresultant PRS: each step replaces f by
+    prem(f, g) / (u * h^delta), where u is the previous leading coefficient
+    and h <- lc^delta / h^(delta - 1); both divisions, and the one at the
+    end, are exact in Z (Cohen, A Course in Computational Algebraic Number
     Theory, Algorithm 3.3.7, without its optional content step).
     """
-    sign = 1
     if len(f) < len(g):
         if (len(f) - 1) * (len(g) - 1) % 2:
             sign = -sign
         f, g = g, f
-    lead = h = 1
     while len(g) > 1:
-        df, dg = len(f) - 1, len(g) - 1
-        delta = df - dg
-        if df * dg % 2:
-            sign = -sign
-        r = pseudo_rem(f, g)
+        r = _rem(f, g, p)
         if not r:
             return 0
-        scale = lead * h ** delta
-        f, g = g, [c // scale for c in r]
-        lead = f[-1]
-        if delta:
-            h = lead ** delta // h ** (delta - 1)
+        sign, u, h, scale = _step_scalars(len(f) - 1, len(g) - 1, len(r) - 1, g[-1], p,
+                                          sign, u, h)
+        f, g = g, r if scale == 1 else [c // scale for c in r]
     df = len(f) - 1
+    if p:
+        return sign * u * pow(g[0], df, p) % p
     return sign * g[0] ** df // h ** (df - 1) if df else sign
+
+
+def _at(pair: tuple, t0, p: int) -> list:
+    """x0 + t0*x1 for the pair (x0, x1), trimmed, mod p when p > 0."""
+    x0, x1 = pair
+    if p:
+        return trim([(x + t0 * y) % p for x, y in zip_longest(x0, x1, fillvalue=0)])
+    return trim([x + t0 * y for x, y in zip_longest(x0, x1, fillvalue=0)])
+
+
+def res_linear_nodes(a: list, b: list, c: list, nodes, p: int) -> list:
+    """[Res_x(a - t0*b, c) for t0 in nodes], mod p by Euclid, or over Z by
+    the subresultant PRS when p = 0; a, b, c are trimmed, c nonzero, and at
+    each node a - t0*b keeps the degree max(deg a, deg b) >= 1.
+
+    The sequence first runs once for all nodes, on pairs (x0, x1) that
+    stand for x0 + t*x1, starting from f = (a, -b) and g = (c, 0), swapped
+    when deg b < deg a < deg c.  A step of f by g is shared while
+    - deg x1 < deg x0 in f and in g, so no leading coefficient carries t;
+    - deg f >= deg g >= 1, the t-part of f lies below index deg g and that of
+      g below 2 deg g - deg f: the quotient reads f only at indices >= deg g
+      and g only at indices >= 2 deg g - deg f, so it carries no t;
+    - the remainder r = r0 + t*r1 has r0 != 0 and deg r1 < deg r0.
+    Why this is exact: at any node t0, f(t0) and g(t0) have the degrees of
+    f0 and g0 and agree with them wherever the quotient reads, so the
+    node's step computes the same quotient, its remainder is r0 + t0*r1,
+    of degree deg r0, and the scalars (u, h, sign) are the same at every
+    node.  The remainder is affine in t, so r1 = r(1) - r(0).  Over Z, the
+    subresultant PRS of f and g over the domain Z[t] takes these same
+    steps, and its divisions are exact in Z[t] (Collins 1967; Brown-Traub
+    1971); the divisor u * h^delta has no t, so r0 and r1 each divide
+    exactly in Z.  The first step that breaks a condition is not taken:
+    each node specialises f and g there and continues from the carried
+    state (`_res_sequence`).  For D[f - t] (b = 1) t starts in the constant
+    term and rises one index per step while the degrees fall by one, so
+    about the first half of the steps is shared; when deg b >= deg a the
+    leading coefficient carries t and nothing is shared.
+    """
+    f = (a, [-y % p if p else -y for y in b])
+    g = (c, [])
+    sign, u, h = 1, 1, 1
+    if len(b) < len(a) < len(c):
+        if (len(a) - 1) * (len(c) - 1) % 2:
+            sign = -sign
+        f, g = g, f
+    while True:
+        (f0, f1), (g0, g1) = f, g
+        df, dg = len(f0) - 1, len(g0) - 1
+        if not (df >= dg >= 1 and len(f1) <= dg and len(g1) <= 2 * dg - df):
+            break
+        r0 = _rem(f0, g0, p)
+        r1 = _at((_rem(_at(f, 1, p), _at(g, 1, p), p), r0), -1, p)  # r(1) - r(0)
+        if len(r1) >= len(r0):
+            break
+        sign, u, h, scale = _step_scalars(df, dg, len(r0) - 1, g0[-1], p, sign, u, h)
+        if scale != 1:
+            r0, r1 = [x // scale for x in r0], [x // scale for x in r1]
+        f, g = g, (r0, r1)
+    return [_res_sequence(_at(f, t0, p), _at(g, t0, p), p, sign, u, h) for t0 in nodes]
 
 
 def mod_mul(a: list, b: list, p: int) -> list:
@@ -161,6 +260,10 @@ def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:
     of a seed-0 benchmark pass."""
     dg = len(g) - 1
     inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
+    if p and len(f) == dg + 2 and dg:  # the normal step, in one pass
+        q1 = f[-1] * inv % p
+        q0 = (f[-2] - q1 * g[-2]) * inv % p
+        return [q0, q1], trim([(x - q0 * y - q1 * z) % p for x, y, z in zip(f, g, (0, *g))])
     r = list(f)
     q = [0] * max(len(f) - dg, 0)
     for k in range(len(q) - 1, -1, -1):
@@ -174,31 +277,13 @@ def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:
 
 def mod_resultant(a: list, b: list, p: int):
     """Res(a, b) of nonzero lists, not both constant.  Mod p by Euclid on
-    remainders: Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) up to the sign
-    (-1)^(deg a * deg b) of each swap and each step.  When p = 0, a = A/da
-    and b = B/db with A, B integral, so Res(a, b) is the Fraction
-    Res(A, B) / (da^deg b * db^deg a)."""
+    remainders (`_res_sequence`).  When p = 0, a = A/da and b = B/db with A,
+    B integral, so Res(a, b) is the Fraction Res(A, B) / (da^deg b *
+    db^deg a)."""
     if not p:
         (ai, da), (bi, db) = _clear(a), _clear(b)
         return Fraction(prs_resultant(ai, bi), da ** (len(b) - 1) * db ** (len(a) - 1))
-    acc = 1
-    sign = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if da < db:
-            if (da * db) % 2:
-                sign = -sign
-            a, b = b, a
-            continue
-        if db == 0:
-            return sign * acc * pow(b[-1], da, p) % p
-        r = mod_divmod(a, b, p)[1]
-        if not r:
-            return 0
-        acc = acc * pow(b[-1], da - (len(r) - 1), p) % p
-        if (da * db) % 2:
-            sign = -sign
-        a, b = b, r
+    return _res_sequence(a, b, p)
 
 
 def mod_gcd(a: list, b: list, p: int) -> list:
@@ -225,15 +310,20 @@ def mod_gcd(a: list, b: list, p: int) -> list:
 def mod_interpolate(xs: list, ys: list, p: int) -> list:
     """Coefficients of the interpolant of degree < len(xs) through
     (xs[i], ys[i]) at distinct nodes, by Newton's divided differences, mod
-    p or exactly when p = 0.  When p = 0 a difference quotient is an int
-    when it divides exactly and an exact Fraction otherwise."""
+    p or exactly when p = 0.  Mod p each distinct node difference is
+    inverted once (the nodes are few small integers, so there are few).
+    When p = 0 a difference quotient is an int when it divides exactly and
+    an exact Fraction otherwise."""
     coeffs = list(ys)
     n = len(xs)
+    invs = {}
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             num, den = coeffs[i] - coeffs[i - 1], xs[i] - xs[i - j]
             if p:
-                coeffs[i] = num * pow(den, -1, p) % p
+                if den not in invs:
+                    invs[den] = pow(den, -1, p)
+                coeffs[i] = num * invs[den] % p
             else:
                 q, r = divmod(num, den)
                 coeffs[i] = Fraction(num) / den if r else q

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -266,12 +267,20 @@ def main(argv=None) -> int:
         report["error"] = {"kind": "precondition-violation", "message": str(exc),
                            "exit_code": code}
     report["timing_ms"] = (time.perf_counter() - start) * 1000.0
-    if args.json:
-        print(json.dumps(report, indent=2))
-    elif report["error"] is not None:
-        print(f"error: {report['error']['message']}", file=sys.stderr)
-    else:
-        _print_text(report, sys.stdout)
+    try:
+        if args.json:
+            print(json.dumps(report, indent=2))
+        elif report["error"] is not None:
+            print(f"error: {report['error']['message']}", file=sys.stderr)
+        else:
+            _print_text(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head -1`): send what is left of stdout to
+        # devnull, so the flush at exit raises no second BrokenPipeError, and
+        # keep the command's own exit code (Python docs, signal, "Note on
+        # SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -32,19 +32,29 @@ class Poly:
         self.field = field
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _of(cls, field: Field, coeffs) -> "Poly":
+        """A Poly on coefficients that are already trimmed field elements
+        (residues in [0, p), Fractions over Q), as the kernel returns them:
+        stored as they are, with no conversion."""
+        self = object.__new__(cls)
+        self.field = field
+        self.coeffs = tuple(coeffs)
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls(field, ())
+        return cls._of(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls(field, (field.one,))
+        return cls._of(field, (field.one,))
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls(field, (field.zero, field.one))
+        return cls._of(field, (field.zero, field.one))
 
     @classmethod
     def constant(cls, field: Field, c) -> "Poly":
@@ -110,8 +120,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
-        return Poly(self.field, _intpoly.mod_mul(self.coeffs, other.coeffs,
-                                                 self.field.char))
+        return Poly._of(self.field, _intpoly.mod_mul(self.coeffs, other.coeffs,
+                                                     self.field.char))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -120,7 +130,7 @@ class Poly:
         if cs and not any(cs[:-1]):  # c*x^d: c^n*x^(d*n), no products
             p = self.field.char
             top = pow(cs[-1], n, p) if p else cs[-1] ** n
-            return Poly(self.field, [self.field.zero] * (len(cs) - 1) * n + [top])
+            return Poly._of(self.field, [self.field.zero] * (len(cs) - 1) * n + [top])
         result = Poly.one(self.field)
         base = self
         while n:
@@ -177,7 +187,7 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if f.degree < g.degree:
         return Poly.zero(f.field), f
     q, r = _intpoly.mod_divmod(f.coeffs, g.coeffs, f.field.char)
-    return Poly(f.field, q), Poly(f.field, r)
+    return Poly._of(f.field, q), Poly._of(f.field, r)
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
@@ -194,7 +204,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     _same_field(f, g)
     if f.is_zero and g.is_zero:
         raise PreconditionError("gcd of two zero polynomials")
-    return Poly(f.field, _intpoly.mod_gcd(f.coeffs, g.coeffs, f.field.char))
+    return Poly._of(f.field, _intpoly.mod_gcd(f.coeffs, g.coeffs, f.field.char))
 
 
 def poly_compose(g: Poly, h: Poly) -> Poly:

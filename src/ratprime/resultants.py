@@ -9,15 +9,16 @@ deg c + 1 nodes and interpolate, on plain kernel lists: residue lists over
 F_p when the field has that many good residues, and otherwise integer
 lists (cleared once over Q, residues read as integers over a small F_p),
 with integer values interpolated in Z (`_intpoly.mod_interpolate`) and one
-division by the cleared denominators, or one reduction mod p, at the end.  The test suite cross-checks both
-routes against the determinant with polynomial entries.
+division by the cleared denominators, or one reduction mod p, at the end.
+The nodes share the steps of their remainder sequences that involve no t
+(`_intpoly.res_linear_nodes`).  The test suite cross-checks both routes
+against the determinant with polynomial entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd as int_gcd, lcm
 
 from . import _intpoly
@@ -143,12 +144,12 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     x-leading coefficient of a - t*b would vanish are excluded so
     specialization commutes with the determinant.
 
-    The nodes run on kernel lists, on one of two routes.  Over F_p with
-    deg c + 1 residues besides the bad node a_n/b_n, a node's value is the
-    Euclid resultant of the residue list of a - t0*b.  Otherwise the
-    integer route runs: over Q a, b and c are cleared once, to A/da, B/db
-    and C/dc, and over a smaller F_p their residues are read as integers A,
-    B, C with da = db = dc = 1.  With L = lcm(da, db), a node's value is the
+    The nodes run on kernel lists (`_intpoly.res_linear_nodes`), on one of
+    two routes.  Over F_p with deg c + 1 residues besides the bad node
+    a_n/b_n, a node's value is the Euclid resultant of the residue list of
+    a - t0*b.  Otherwise the integer route runs: over Q a, b and c are
+    cleared once, to A/da, B/db and C/dc, and over a smaller F_p their
+    residues are read as integers A, B, C with da = db = dc = 1.  With L = lcm(da, db), a node's value is the
     subresultant PRS of the integer list (L/da)*A - t0*(L/db)*B against C
     at integer nodes avoiding A_n/B_n over Q.  Those values lie on an
     integer polynomial in t, so they interpolate in Z, and one division by
@@ -156,6 +157,13 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     lifts keep their lengths, so the integer Sylvester determinant has the
     same shape and reduces mod p to the one over F_p (von zur
     Gathen-Gerhard, Modern Computer Algebra, ch. 6); `Poly` reduces it.
+
+    On both routes the remainder sequence is not run from scratch at each
+    node: while no quotient and no leading coefficient involves t, every
+    remainder is r0 + t*r1 and one run on the pair serves all nodes, which
+    then continue from the carried state.  For D[f - t] that shares about
+    the first half of the steps; when deg b >= deg a (a rational f with
+    b_n != 0) the leading coefficient carries t and every node runs alone.
     """
     _same_field(a, b)
     _same_field(a, c)
@@ -169,26 +177,21 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
         return Poly.constant(field, c.lc ** n)
     bound = c.degree
     p = field.char
+    an, bn = a.coeff(n), b.coeff(n)
     if p:
-        pairs = list(zip_longest(a.coeffs, b.coeffs, fillvalue=0))
-        an, bn = pairs[-1]
         # lc in x is a_n - t*b_n; one bad node when b_n != 0
         bad = {field.div(an, bn)} if bn else ()
         if p - len(bad) > bound:
             nodes = [v for v in range(bound + 2) if v not in bad][:bound + 1]
-            values = [_intpoly.mod_resultant([(x - t0 * y) % p for x, y in pairs],
-                                             c.coeffs, p) for t0 in nodes]
-            return interpolate(field, nodes, values)
-        ci = c.coeffs
+            return interpolate(field, nodes, _intpoly.res_linear_nodes(
+                a.coeffs, b.coeffs, c.coeffs, nodes, p))
+        ai, bi, ci = a.coeffs, b.coeffs, c.coeffs
     else:
         (ai, da), (bi, db), (ci, dc) = map(_intpoly._clear, (a.coeffs, b.coeffs, c.coeffs))
         lden = lcm(da, db)
-        pairs = list(zip_longest([x * (lden // da) for x in ai],
-                                 [y * (lden // db) for y in bi], fillvalue=0))
-        an, bn = pairs[-1]
+        ai, bi = [x * (lden // da) for x in ai], [y * (lden // db) for y in bi]
     nodes = _nodes(bound + 1, {Fraction(an, bn)} if bn else ())
-    values = [_intpoly.prs_resultant([x - t0 * y for x, y in pairs], ci) for t0 in nodes]
-    res = interpolate(QQ, nodes, values)
+    res = interpolate(QQ, nodes, _intpoly.res_linear_nodes(ai, bi, ci, nodes, 0))
     if p:
         return Poly(field, res.coeffs)
     den = lden ** bound * dc ** n

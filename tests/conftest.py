@@ -21,10 +21,14 @@ def fppoly(p, *coeffs):
 
 
 def random_poly(rng, field, degree, lc_choices=(1, 2, 3, -1, -2)):
-    """Random polynomial of exact degree with small integer coefficients."""
+    """Random polynomial of exact degree with small integer coefficients; the
+    leading coefficient is drawn again until it is nonzero in the field (2
+    is 0 over F_2)."""
     coeffs = [rng.randint(-3, 3) for _ in range(degree)]
-    coeffs.append(rng.choice(lc_choices))
-    return Poly(field, coeffs)
+    lead = rng.choice(lc_choices)
+    while not field(lead):
+        lead = rng.choice(lc_choices)
+    return Poly(field, coeffs + [lead])
 
 
 def random_ratfun(rng, field, num_degree, den_degree):

@@ -1,8 +1,11 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from ratprime import (ParseError, Poly, PreconditionError, PrimeField, QQ, RatFun,
                       format_poly, format_ratfun, parse_expression)
+import ratprime
 from ratprime import resultants
 from ratprime.cli import main
 from ratprime.parser import MAX_POWER_DEGREE, _Parser, _tokenize
@@ -572,3 +576,24 @@ def test_cli_key_layout_is_input_independent(capsys):
     _, b = _run_json(capsys, "analyze", "--field", "F5", "x^4+x^2+1")
     _, c = _run_json(capsys, "fq", "--p", "3", "x^2")
     assert keys(a) == keys(b) == keys(c)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "(x+1)^4"], 0),
+    (["analyze", "--json", "(x+1)^4"], 0),
+    (["analyze", "--json", "x^"], 2),
+    (["analyze", "--json", "--field", "F4", "x"], 3),
+])
+def test_closed_stdout_pipe_keeps_exit_code(argv, code):
+    # like `ratprime analyze ... | head -1` once head has exited: stdout is a
+    # pipe whose read end is already closed, so the first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(ratprime.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ratprime.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == b""

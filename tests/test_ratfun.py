@@ -49,6 +49,16 @@ def test_reduction_idempotent(rng):
         assert again == f
 
 
+def test_random_ratfun_over_f2_keeps_its_degrees(rng):
+    # over F_2 the helper's leading choices 2 and -2 reduce to 0; it must
+    # draw again instead of building a zero denominator
+    field = PrimeField(2)
+    for _ in range(30):
+        num_degree, den_degree = rng.randint(0, 3), rng.randint(1, 3)
+        f = random_ratfun(rng, field, num_degree, den_degree)
+        assert (f.numerator.degree, f.denominator.degree) == (num_degree, den_degree)
+
+
 def test_monic_denominator_normalization():
     f = RatFun(qpoly(0, 1), qpoly(0, 0, 2))
     assert f.denominator.lc == Fraction(1)

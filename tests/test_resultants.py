@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -10,7 +11,7 @@ from ratprime import (DegenerateDerivativeError, Poly, PreconditionError,
                       poly_compose, rat_compose, rat_resultant_in_t,
                       res_x_linear_t, resultant, split_discriminant,
                       sylvester_matrix, sylvester_resultant)
-from ratprime import resultants
+from ratprime import _intpoly, resultants
 from ratprime.poly import poly_exact_div
 from ratprime.resultants import _sylvester_rows, bareiss_determinant
 from conftest import (field_of, fppoly, qpoly, random_poly, random_ratfun,
@@ -365,6 +366,115 @@ def test_small_field_evaluates_no_polynomial_determinant(rng, monkeypatch):
         disc_in_t(f)
         rat_resultant_in_t(RatFun(f, random_poly(rng, field, 3, lc_choices=(1, 2))))
     assert calls == []
+
+
+def _per_node_res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
+    """Res_x(a - t*b, c) by one full remainder sequence from scratch at each
+    node, on the same nodes and routes as `res_x_linear_t`: the per-node
+    loop that the shared prefix replaced, kept as the reference."""
+    field = a.field
+    n = max(len(a.coeffs), len(b.coeffs)) - 1
+    if c.degree == 0:
+        return Poly.constant(field, c.lc ** n)
+    bound = c.degree
+    p = field.char
+    if p:
+        pairs = list(zip_longest(a.coeffs, b.coeffs, fillvalue=0))
+        an, bn = pairs[-1]
+        bad = {field.div(an, bn)} if bn else ()
+        if p - len(bad) > bound:
+            nodes = [v for v in range(bound + 2) if v not in bad][:bound + 1]
+            values = [_intpoly.mod_resultant([(x - t0 * y) % p for x, y in pairs],
+                                             c.coeffs, p) for t0 in nodes]
+            return interpolate(field, nodes, values)
+        ci = c.coeffs
+    else:
+        (ai, da), (bi, db), (ci, dc) = map(_intpoly._clear, (a.coeffs, b.coeffs, c.coeffs))
+        lden = lcm(da, db)
+        pairs = list(zip_longest([x * (lden // da) for x in ai],
+                                 [y * (lden // db) for y in bi], fillvalue=0))
+        an, bn = pairs[-1]
+    nodes = resultants._nodes(bound + 1, {Fraction(an, bn)} if bn else ())
+    values = [_intpoly.prs_resultant([x - t0 * y for x, y in pairs], ci) for t0 in nodes]
+    res = interpolate(QQ, nodes, values)
+    if p:
+        return Poly(field, res.coeffs)
+    den = lden ** bound * dc ** n
+    return res if den == 1 else res.scale(Fraction(1, den))
+
+
+_SHARE_KINDS = ("b = 1, c = a'", "deg b < deg a", "deg b = deg a", "p | deg a",
+                "common factor", "deg c <= 1")
+
+
+@st.composite
+def _linear_t_case(draw):
+    """(a, b, c, kind) over Q or F_p, p in {2, 3, 13, 1000003, 2^31 - 1},
+    with c nonzero and max(deg a, deg b) >= 1."""
+    p = draw(st.sampled_from([0, 2, 3, 13, 1_000_003, 2**31 - 1]))
+    field = field_of(p)
+    kind = draw(st.sampled_from(_SHARE_KINDS if p in (2, 3, 13) else
+                                [k for k in _SHARE_KINDS if k != "p | deg a"]))
+    coeff = st.integers(0, p - 1) if p else st.fractions(-9, 9, max_denominator=4)
+
+    def poly(degree):
+        lead = draw(coeff.filter(lambda v: field(v) != 0))
+        return Poly(field, draw(st.lists(coeff, min_size=degree, max_size=degree)) + [lead])
+
+    if kind in ("b = 1, c = a'", "p | deg a"):
+        a = poly(p * draw(st.integers(1, 13 // p)) if kind == "p | deg a"
+                 else draw(st.integers(2, 14)))
+        b, c = Poly.one(field), a.derivative()
+    elif kind == "deg b = deg a":
+        n = draw(st.integers(1, 10))
+        a, b, c = poly(n), poly(n), poly(draw(st.integers(1, 10)))
+    elif kind == "common factor":
+        w = poly(draw(st.integers(1, 3)))
+        a, b, c = (w * poly(draw(st.integers(0, 5))) for _ in range(3))
+    else:
+        n = draw(st.integers(1, 12))
+        a, b = poly(n), poly(draw(st.integers(0, n - 1)))
+        c = poly(draw(st.integers(0, 1) if kind == "deg c <= 1" else st.integers(0, 12)))
+    return a, b, c, kind
+
+
+@untimed
+@given(_linear_t_case())
+def test_res_x_linear_t_matches_per_node_reference(case):
+    a, b, c, kind = case
+    assume(not c.is_zero and max(a.degree, b.degree) >= 1)
+    res = res_x_linear_t(a, b, c)
+    assert res == _per_node_res_x_linear_t(a, b, c)
+    if kind == "common factor":
+        assert res.is_zero
+
+
+@pytest.mark.parametrize("field", [PrimeField(2**31 - 1), QQ], ids=["F_(2^31-1)", "Q"])
+def test_disc_in_t_shares_the_first_half_of_the_sequence(rng, monkeypatch, field):
+    # D[f - t] at degree 32: t starts in the constant term and rises one
+    # index per step, so every step down to degree 17 is run once for all
+    # 32 nodes and no node starts its own remainder sequence above it
+    dividends, starts = [], []
+    run, divmod_, prem = _intpoly._res_sequence, _intpoly.mod_divmod, _intpoly.pseudo_rem
+
+    def per_node(f, g, *state):
+        starts.append(max(len(f), len(g)) - 1)
+        return run(f, g, *state)
+
+    def counting(division):
+        def wrapper(f, g, *args):
+            dividends.append(len(f) - 1)
+            return division(f, g, *args)
+        return wrapper
+
+    monkeypatch.setattr(_intpoly, "_res_sequence", per_node)
+    monkeypatch.setattr(_intpoly, "mod_divmod", counting(divmod_))
+    monkeypatch.setattr(_intpoly, "pseudo_rem", counting(prem))
+    f = random_poly(rng, field, 32)
+    disc_in_t(f)
+    # a shared step divides twice (its remainder at t = 0 and at t = 1)
+    assert sum(d > 17 for d in dividends) <= 2 * (32 - 17)
+    assert len(starts) == 32 and max(starts) <= 17
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,24 @@ division loop, `mod_divmod`: the F_p gcd and the F_p resultant are Euclid
 on its remainders.  Both division loops (`mod_divmod` mod p, `pseudo_rem`)
 run the normal step, deg f = deg g + 1, in one pass.  Both resultants run
 one remainder sequence, `_res_sequence`: Euclid mod p, the subresultant PRS
-over Z.  `res_linear_nodes` evaluates Res_x(a - t*b, c) at many nodes t0:
-it runs the first steps of that sequence once for all nodes, on remainders
-r0 + t*r1 whose quotients and leading coefficients carry no t, and only
-the rest per node (its docstring has the proof).
+over Z, whose normal step forms the pseudo-remainder and divides it by the
+exact scale u * h in the same pass.  `res_linear_nodes` evaluates
+Res_x(a - t*b, c) at many nodes t0: it runs the first steps of that
+sequence once for all nodes, on remainders r0 + t*r1 whose quotients and
+leading coefficients carry no t, and only the rest per node (its docstring
+has the proof).
 
 Over Q (p = 0) the kernel clears denominators once (`_clear`) and does its
 work in Z[x]:
 
 - The product runs on the cleared integer lists and divides by the two
   denominators once at the end.
+- Exact division (`mod_exact_div`) divides the cleared dividend by the
+  primitive part of the cleared divisor in Z[x] (`int_exact_div`) and
+  scales the quotient once.  By Gauss a primitive divisor of an integer
+  polynomial leaves an integer cofactor, so each step divides exactly by
+  the divisor's leading coefficient, and a step that does not, or a
+  nonzero remainder, proves that the division is inexact over Q.
 - The gcd first tries a modular exit (Brown 1971; von zur Gathen-Gerhard,
   Modern Computer Algebra, ch. 6).  Let A, B be the cleared lists and q the
   fixed word prime EXIT_PRIME with q dividing neither lc(A) nor lc(B).  A
@@ -73,6 +81,64 @@ def primitive(a: list[int]) -> list[int]:
     return [q // c for q in a]
 
 
+def int_exact_div(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g in Z[x] for a nonzero g, or None when g does not divide f there.
+    For a primitive g that is the same as dividing in Q[x] (Gauss: a
+    primitive divisor of an integer polynomial leaves an integer cofactor),
+    so then every step divides exactly by lc(g)."""
+    dg, lead = len(g) - 1, g[-1]
+    if len(f) <= dg:
+        return None if f else []
+    r = list(f)
+    q = [0] * (len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, e = divmod(r[k + dg], lead)
+        if e:
+            return None
+        q[k] = c
+        if c:
+            r[k:k + dg] = [x - c * y for x, y in zip(r[k:k + dg], g)]
+    return None if any(r[:dg]) else q
+
+
+def mod_add(a: list, b: list, p: int) -> list:
+    """a + b, trimmed, mod p when p > 0; entries past the shorter list's
+    length are taken as they are, and so are those of a where b has a zero
+    (a Fraction sum costs more than the test)."""
+    if len(a) < len(b):
+        a, b = b, a
+    s = [(x + y) % p for x, y in zip(a, b)] if p else [x + y if y else x for x, y in zip(a, b)]
+    if len(a) > len(b):
+        s.extend(a[len(b):])
+        return s
+    return trim(s)
+
+
+def mod_sub(a: list, b: list, p: int) -> list:
+    """a - b, trimmed, mod p when p > 0 (over Q a zero of b is skipped, as in
+    `mod_add`)."""
+    s = [(x - y) % p for x, y in zip(a, b)] if p else [x - y if y else x for x, y in zip(a, b)]
+    if len(a) > len(b):
+        s.extend(a[len(b):])
+    elif len(b) > len(a):
+        s.extend(mod_neg(b[len(a):], p))
+    else:
+        trim(s)
+    return s
+
+
+def mod_neg(a: list, p: int) -> list:
+    """-a, mod p when p > 0."""
+    return [-c % p for c in a] if p else [-c for c in a]
+
+
+def mod_deriv(a: list, p: int) -> list:
+    """The derivative, trimmed, mod p when p > 0."""
+    if p:
+        return trim([i * c % p for i, c in enumerate(a[1:], 1)])
+    return [i * c for i, c in enumerate(a[1:], 1)]
+
+
 def pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     """Strict pseudo-remainder: lc(g)^(deg f - deg g + 1) * f = q*g + r.
 
@@ -99,11 +165,10 @@ def pseudo_rem(f: list[int], g: list[int]) -> list[int]:
 
 
 def prs_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd of two integer polynomials (content discarded)."""
+    """Primitive gcd of two integer polynomials with a positive leading
+    coefficient (content discarded)."""
     f = primitive(trim(list(f)))
     g = primitive(trim(list(g)))
-    if not f:
-        return g
     while g:
         if len(f) < len(g):
             f, g = g, f
@@ -154,19 +219,33 @@ def _res_sequence(f: list, g: list, p: int, sign: int = 1, u=1, h=1):
     prem(f, g) / (u * h^delta), where u is the previous leading coefficient
     and h <- lc^delta / h^(delta - 1); both divisions, and the one at the
     end, are exact in Z (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 3.3.7, without its optional content step).
+    Theory, Algorithm 3.3.7, without its optional content step).  The normal
+    step (delta = 1) divides by u * h as it forms the pseudo-remainder, and
+    then u = h = lc.
     """
     if len(f) < len(g):
         if (len(f) - 1) * (len(g) - 1) % 2:
             sign = -sign
         f, g = g, f
     while len(g) > 1:
-        r = _rem(f, g, p)
-        if not r:
-            return 0
-        sign, u, h, scale = _step_scalars(len(f) - 1, len(g) - 1, len(r) - 1, g[-1], p,
-                                          sign, u, h)
-        f, g = g, r if scale == 1 else [c // scale for c in r]
+        df, dg, lc = len(f) - 1, len(g) - 1, g[-1]
+        if p or df != dg + 1:
+            r = _rem(f, g, p)
+            if not r:
+                return 0
+            sign, u, h, scale = _step_scalars(df, dg, len(r) - 1, lc, p, sign, u, h)
+            if scale != 1:
+                r = [c // scale for c in r]
+        else:  # the normal step over Z: prem(f, g) / (u * h) in one pass
+            fn, scale = f[-1], u * h
+            q1, q0, l2 = lc * fn, lc * f[-2] - fn * g[-2], lc * lc
+            r = trim([(l2 * x - q0 * y - q1 * z) // scale for x, y, z in zip(f, g, (0, *g))])
+            if not r:
+                return 0
+            if df * dg % 2:
+                sign = -sign
+            u = h = lc
+        f, g = g, r
     df = len(f) - 1
     if p:
         return sign * u * pow(g[0], df, p) % p
@@ -232,6 +311,19 @@ def res_linear_nodes(a: list, b: list, c: list, nodes, p: int) -> list:
     return [_res_sequence(_at(f, t0, p), _at(g, t0, p), p, sign, u, h) for t0 in nodes]
 
 
+def int_mul(a: list, b: list) -> list:
+    """The product of two coefficient lists, by the schoolbook convolution,
+    with no reduction."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def mod_mul(a: list, b: list, p: int) -> list:
     """Product mod p.  When p = 0 both inputs are cleared once (`_clear`),
     multiplied in Z and divided once by the two denominators, so the
@@ -239,16 +331,10 @@ def mod_mul(a: list, b: list, p: int) -> list:
     Fraction arithmetic."""
     if not a or not b:
         return []
-    if not p:
-        (a, da), (b, db) = _clear(a), _clear(b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     if p:
-        return [c % p for c in out]
-    d = da * db
+        return [c % p for c in int_mul(a, b)]
+    (a, da), (b, db) = _clear(a), _clear(b)
+    out, d = int_mul(a, b), da * db
     return [Fraction(c) for c in out] if d == 1 else [Fraction(c, d) for c in out]
 
 
@@ -286,25 +372,47 @@ def mod_resultant(a: list, b: list, p: int):
     return _res_sequence(a, b, p)
 
 
+def int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient of integer lists,
+    not both zero.  If the word prime EXIT_PRIME divides neither leading
+    coefficient and the images mod EXIT_PRIME are coprime, the gcd is 1
+    (exact, see the module docstring); otherwise it is the primitive PRS."""
+    q = EXIT_PRIME
+    if (a and b and a[-1] % q and b[-1] % q
+            and len(mod_gcd([c % q for c in a], [c % q for c in b], q)) == 1):
+        return [1]
+    return prs_gcd(a, b)
+
+
 def mod_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd, inputs not both zero.  When p = 0 the cleared integer
-    lists first try the modular exit: if the word prime EXIT_PRIME divides
-    neither leading coefficient and the images mod EXIT_PRIME are coprime,
-    the gcd is 1 (exact, see the module docstring).  Otherwise the answer is
-    the primitive PRS.  Mod p it is Euclid on the remainders of
-    `mod_divmod`."""
+    """Monic gcd, inputs not both zero.  When p = 0 it is `int_gcd` of the
+    cleared integer lists, made monic.  Mod p it is Euclid on the remainders
+    of `mod_divmod`."""
     if not p:
-        a, b = _clear(a)[0], _clear(b)[0]
-        q = EXIT_PRIME
-        if (a and b and a[-1] % q and b[-1] % q
-                and len(mod_gcd([c % q for c in a], [c % q for c in b], q)) == 1):
-            return [Fraction(1)]
-        d = prs_gcd(a, b)
+        d = int_gcd(_clear(a)[0], _clear(b)[0])
         return [Fraction(c, d[-1]) for c in d]
     while b:
         a, b = b, mod_divmod(a, b, p)[1]
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
+
+
+def mod_exact_div(f: list, g: list, p: int) -> list | None:
+    """f / g for a nonzero g, or None when g does not divide f.  Mod p by
+    `mod_divmod`.  When p = 0 the division runs in Z[x]: with f = F/df and
+    g = G/dg cleared and G = cg * pg, pg primitive, f / g = (F / pg) * dg /
+    (df * cg), and F / pg is `int_exact_div`, exact at every step when pg
+    divides F."""
+    if p:
+        q, r = mod_divmod(f, g, p)
+        return None if r else q
+    (fi, df), (gi, dg) = _clear(f), _clear(g)
+    cg = content(gi)
+    q = int_exact_div(fi, [c // cg for c in gi] if cg != 1 else gi)
+    if q is None:
+        return None
+    d = df * cg
+    return [Fraction(c * dg, d) for c in q]
 
 
 def mod_interpolate(xs: list, ys: list, p: int) -> list:

@@ -23,6 +23,7 @@ print-then-parse is the identity.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import PreconditionError, RatPrimeError
@@ -164,10 +165,17 @@ def parse_expression(source: str, field: Field) -> RatFun:
 
 
 def _format_coeff(c) -> tuple[str, bool]:
-    """Literal text for a coefficient's magnitude plus its sign flag."""
+    """Literal text for a coefficient's magnitude plus its sign flag.  A
+    numerator or denominator past Python's int-to-str digit limit is a
+    precondition error that names the limit."""
     negative = c < 0
     mag = -c if negative else c
-    text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+    try:
+        text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+    except ValueError:  # the only ValueError of str(int)
+        raise PreconditionError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, the "
+            f"limit on int-to-str conversion (sys.get_int_max_str_digits())") from None
     return text, negative
 
 

@@ -96,27 +96,16 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            if c:
-                cs[i] += c
-        return Poly(self.field, cs)
+        return Poly._of(self.field, _intpoly.mod_add(self.coeffs, other.coeffs,
+                                                     self.field.char))
 
     def __sub__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
-        b = other.coeffs
-        cs = list(self.coeffs)
-        cs.extend([self.field.zero] * (len(b) - len(cs)))
-        for i, c in enumerate(b):
-            if c:
-                cs[i] -= c
-        return Poly(self.field, cs)
+        return Poly._of(self.field, _intpoly.mod_sub(self.coeffs, other.coeffs,
+                                                     self.field.char))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._of(self.field, _intpoly.mod_neg(self.coeffs, self.field.char))
 
     def __mul__(self, other: "Poly") -> "Poly":
         _same_field(self, other)
@@ -143,7 +132,11 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = self.field(c)
-        return Poly(self.field, [a * c if a else a for a in self.coeffs])
+        if not c:
+            return Poly.zero(self.field)
+        p = self.field.char
+        return Poly._of(self.field, [a * c % p for a in self.coeffs] if p
+                        else [a * c if a else a for a in self.coeffs])
 
     # -- evaluation and calculus -------------------------------------------
 
@@ -154,8 +147,7 @@ class Poly:
         return _intpoly.mod_eval(self.coeffs, a, self.field.char)
 
     def derivative(self) -> "Poly":
-        return Poly(self.field,
-                    [c * i for i, c in enumerate(self.coeffs)][1:])
+        return Poly._of(self.field, _intpoly.mod_deriv(self.coeffs, self.field.char))
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -191,10 +183,20 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
-    q, r = poly_divmod(f, g)
-    if not r.is_zero:
+    """f / g when g divides f, else PreconditionError.  Over Q the division
+    runs in Z[x] on the cleared lists (`_intpoly.mod_exact_div`)."""
+    if f.field.char:
+        q, r = poly_divmod(f, g)
+        if not r.is_zero:
+            raise PreconditionError("inexact polynomial division")
+        return q
+    _same_field(f, g)
+    if g.is_zero:
+        raise PreconditionError("division by the zero polynomial")
+    q = _intpoly.mod_exact_div(f.coeffs, g.coeffs, 0)
+    if q is None:
         raise PreconditionError("inexact polynomial division")
-    return q
+    return Poly._of(f.field, q)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

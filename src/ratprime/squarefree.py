@@ -1,26 +1,33 @@
 """Squarefree decomposition over Q and over prime fields, and the full
 factorization over F_p built on it.
 
-One algorithm serves both characteristics: repeated gcds with the
-derivative peel off the factors one multiplicity at a time.  In
-characteristic p that loop misses multiplicities divisible by p, so the
-leftover factor (a perfect p-th power, since prime fields are perfect) is
-handled by exponent division and recursion.  In characteristic 0 the
-derivative of a nonconstant polynomial never vanishes and nothing is left
-over.  Over F_p each squarefree part then splits by degree and by Cantor-
-Zassenhaus (1981) equal-degree splits, on `_intpoly` residue lists; the
-decomposition oracle takes the divisors of those factorizations from here.
+Both loops run on `_intpoly` kernel lists.  Yun's loop (Yun 1976; von zur
+Gathen-Gerhard, Modern Computer Algebra, Alg. 14.21) runs whenever every
+multiplicity is below the characteristic: over Q, and over F_p when p >
+deg f.  It divides only b = f / gcd(f, f') and its cofactor, and both
+shrink, where Musser's loop divides gcd(f, f') once more for each
+multiplicity.  Over Q it runs in Z[x] on the primitive integer list of f:
+its gcds are primitive, so by Gauss every division is exact in Z.  When p
+<= deg f, Musser's loop peels off the factors one multiplicity at a time;
+it misses multiplicities divisible by p, so the leftover factor (a perfect
+p-th power, since prime fields are perfect) is handled by exponent division
+and recursion, which takes Yun's loop again once the degree is below p.
+Over F_p each squarefree part then splits by degree and by Cantor-
+Zassenhaus (1981) equal-degree splits, on residue lists; the decomposition
+oracle takes the divisors of those factorizations from here.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import zip_longest
+from fractions import Fraction
+from functools import partial
 
-from ._intpoly import mod_divmod, mod_gcd, mod_mul, trim
+from ._intpoly import (_clear, int_exact_div, int_gcd, int_mul, mod_deriv, mod_divmod,
+                       mod_exact_div, mod_gcd, mod_mul, mod_neg, mod_sub, primitive, trim)
 from .errors import PreconditionError
-from .poly import Poly, poly_exact_div, poly_gcd
+from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -41,59 +48,105 @@ class SquarefreeFactorization:
         return acc
 
 
-def _pth_root(f: Poly, p: int) -> Poly:
-    """Inverse Frobenius on a polynomial of the form u(x^p) over F_p.
+def _pth_root(f: list[int], p: int) -> list[int]:
+    """Inverse Frobenius on a residue list of the form u(x^p) over F_p.
 
     Over the prime field a^p = a, so only the exponents contract.
     """
-    coeffs = []
-    for i, c in enumerate(f.coeffs):
-        if i % p == 0:
-            coeffs.append(c)
-        elif c:
-            raise PreconditionError("polynomial is not a p-th power")
-    return Poly(f.field, coeffs)
+    if any(c for i, c in enumerate(f) if i % p):
+        raise PreconditionError("polynomial is not a p-th power")
+    return f[::p]
 
 
-def _decompose(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """(factor, multiplicity) pairs of a monic nonconstant f over a field of
-    characteristic p (0 for Q)."""
-    fp = f.derivative()
-    if fp.is_zero:
+def _yun(f: list, p: int) -> list[tuple[list, int]]:
+    """Yun's loop (von zur Gathen-Gerhard, Alg. 14.21) on a nonconstant f
+    whose multiplicities are all below p: b = f / gcd(f, f'), c = f' /
+    gcd(f, f'), then while b is not constant, d = c - b', the part of
+    multiplicity i is a = gcd(b, d), and b, c <- b / a, d / a.  When d = 0,
+    gcd(b, 0) = b is the last part.  Mod p, f is monic and the gcds are
+    monic.  When p = 0, f is a primitive integer list with lc(f) > 0, the
+    gcds are primitive with positive leading coefficients, and each division
+    by one is exact in Z (Gauss), so the parts come out the same way."""
+    if p:
+        gcd, div = partial(mod_gcd, p=p), partial(mod_exact_div, p=p)
+    else:
+        gcd, div = int_gcd, int_exact_div
+    df = mod_deriv(f, p)
+    u = gcd(f, df)
+    b, c = div(f, u), div(df, u)
+    parts, i = [], 1
+    while len(b) > 1:
+        d = mod_sub(c, mod_deriv(b, p), p)
+        if not d:
+            parts.append((b, i))
+            break
+        a = gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, i))
+        b, c, i = div(b, a), div(d, a), i + 1
+    return parts
+
+
+def _musser(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Musser's loop on a monic f over F_p, with p-th roots of what it
+    leaves (see the module docstring)."""
+    fp = mod_deriv(f, p)
+    if not fp:
         return [(g, m * p) for g, m in _decompose(_pth_root(f, p), p)]
     parts = []
-    c = poly_gcd(f, fp)
-    w = poly_exact_div(f, c)
+    c = mod_gcd(f, fp, p)
+    w = mod_divmod(f, c, p)[0]
     i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = poly_exact_div(w, y)
-        if z.degree > 0:
+    while len(w) > 1:
+        y = mod_gcd(w, c, p)
+        z = mod_divmod(w, y, p)[0]
+        if len(z) > 1:
             parts.append((z, i))
         i += 1
         w = y
-        c = poly_exact_div(c, y)
-    if c.degree > 0:
+        c = mod_divmod(c, y, p)[0]
+    if len(c) > 1:
         parts.extend((g, m * p) for g, m in _decompose(_pth_root(c, p), p))
     return parts
 
 
+def _decompose(f: list, p: int) -> list[tuple[list, int]]:
+    """(part, multiplicity) pairs of a nonconstant f: monic over F_p, a
+    primitive integer list with lc(f) > 0 when p = 0.  Yun's loop when every
+    multiplicity is below p (p = 0 or p > deg f), Musser's otherwise."""
+    return _yun(f, p) if not p or p >= len(f) else _musser(f, p)
+
+
 def squarefree_decompose(f: Poly) -> SquarefreeFactorization:
+    """Over F_p the monic f is decomposed on its residue list and the parts
+    are checked by multiplying them back.  Over Q f is cleared once to its
+    primitive integer list pp(f) with lc > 0, Yun's loop runs in Z[x], the
+    check is prod(part_i ^ m_i) = pp(f) in Z, and the monic Fraction parts
+    are built at the end."""
     if f.is_zero:
         raise PreconditionError("squarefree decomposition of the zero polynomial")
     constant = f.lc
     if f.degree == 0:
         return SquarefreeFactorization(constant, ())
-    parts = _decompose(f.monic(), f.field.char)
-    parts.sort(key=lambda fm: (fm[1], fm[0].degree, [repr(c) for c in fm[0].coeffs]))
-    result = SquarefreeFactorization(constant, tuple(parts))
-    if result.reconstruct(f.field) != f:
+    p = f.field.char
+    if p:
+        g, mul = list(f.monic().coeffs), partial(mod_mul, p=p)
+    else:
+        g, mul = primitive(_clear(f.coeffs)[0]), int_mul
+        if g[-1] < 0:
+            g = mod_neg(g, 0)
+    parts = _decompose(g, p)
+    back = [1]
+    for z, m in parts:
+        for _ in range(m):
+            back = mul(back, z)
+    if back != g:
         raise AssertionError("squarefree reconstruction failed (internal bug)")
-    return result
-
-
-def _sub(a: list[int], b: list[int], p: int) -> list[int]:
-    return trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+    if not p:
+        parts = [([Fraction(c, z[-1]) for c in z], m) for z, m in parts]
+    # by the numbers, not their text: no str() of a huge coefficient
+    parts.sort(key=lambda zm: (zm[1], len(zm[0]), zm[0]))
+    return SquarefreeFactorization(constant, tuple((Poly._of(f.field, z), m) for z, m in parts))
 
 
 def _powmod(a: list[int], e: int, w: list[int], p: int) -> list[int]:
@@ -122,9 +175,9 @@ def _equal_degree(w: list[int], d: int, p: int, rng: random.Random | None = None
             t = s = a
             for _ in range(d - 1):
                 s = _powmod(s, 2, w, p)
-                t = _sub(t, s, p)
+                t = mod_sub(t, s, p)
         else:
-            t = _sub(_powmod(a, (p ** d - 1) // 2, w, p), [1], p)
+            t = mod_sub(_powmod(a, (p ** d - 1) // 2, w, p), [1], p)
         z = mod_gcd(w, t, p)
         if 1 < len(z) < len(w):
             return (_equal_degree(z, d, p, rng)
@@ -146,7 +199,7 @@ def irreducible_factors(f: Poly, top: int | None = None) -> list[tuple[tuple[int
         while len(g) > 2 * d + 2 and (top is None or d < top):
             d += 1
             xq = _powmod(xq, p, g, p)
-            same = mod_gcd(g, _sub(xq, [0, 1], p), p)
+            same = mod_gcd(g, mod_sub(xq, [0, 1], p), p)
             if len(same) > 1:
                 found += [(tuple(z), mult) for z in _equal_degree(same, d, p)]
                 g = mod_divmod(g, same, p)[0]

@@ -344,6 +344,41 @@ def test_cli_literal_past_the_int_digit_limit_is_a_parse_error(capsys, schema, e
     assert report["error"]["message"].endswith(f"(at position {expr.index('7')})")
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str digit limit, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("expr", ["x^2+3^5000*x", "3^100000*x^2+x"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_cli_coefficient_past_the_int_digit_limit_is_a_precondition_error(
+        capsys, schema, default_digit_limit, expr, as_json):
+    # a coefficient of D[f - t] has more digits than str(int) may print
+    limit = str(default_digit_limit)
+    if as_json:
+        code, report = _run_json(capsys, "analyze", "--field", "Q", expr)
+        jsonschema.validate(report, schema)
+        assert report["error"]["kind"] == "precondition-violation"
+        assert limit in report["error"]["message"]
+    else:
+        code, out, err = _run(capsys, "analyze", "--field", "Q", expr)
+        assert out == "" and limit in err
+    assert code == 3
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_cli_coefficient_below_the_int_digit_limit_prints(capsys, default_digit_limit, as_json):
+    # the coefficient 3^8000 of D[f - t] has about 3817 digits
+    argv = ["analyze", "--field", "Q", "x^2+3^4000*x"] + ["--json"] * as_json
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert str(3 ** 8000) in out
+
+
 def test_cli_analyze_worked_example(capsys, schema):
     code, report = _run_json(capsys, "analyze", "--field", "Q", "(x+1)^4/x^3")
     assert code == 0

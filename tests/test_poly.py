@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from ratprime import _intpoly
+from ratprime import _intpoly, squarefree
 from ratprime import (NEG_INF, Poly, PreconditionError, PrimeField, QQ, RatFun,
-                      discriminant, poly_compose, poly_divmod, poly_gcd, resultant,
-                      squarefree_decompose, sylvester_resultant, valency)
+                      discriminant, poly_compose, poly_divmod, poly_exact_div, poly_gcd,
+                      resultant, squarefree_decompose, sylvester_resultant, valency)
 from conftest import (field_of, fppoly, from_sympy, qpoly, random_poly,
                       sympy_fraction, to_sympy, untimed)
 
@@ -118,6 +118,35 @@ def test_divmod_by_zero_rejected():
         poly_divmod(qpoly(1, 1), Poly.zero(QQ))
 
 
+def test_exact_div_over_q():
+    # the divisor x/2 - 1/2 is neither integral nor primitive once cleared
+    half = Fraction(1, 2)
+    assert poly_exact_div(qpoly(-1, 0, 1), qpoly(-half, half)) == qpoly(2, 2)
+    assert poly_exact_div(qpoly(-1, 0, 1), qpoly(-3, 3)) == qpoly(Fraction(1, 3), Fraction(1, 3))
+    assert poly_exact_div(Poly.zero(QQ), qpoly(1, 1)).is_zero
+    # x / (2x + 1): the first step does not divide by lc = 2, and nothing
+    # is left in the remainder to show it
+    for f, g in ((qpoly(1, 0, 1), qpoly(1, 1)), (qpoly(1, 1), qpoly(1, 0, 1)),
+                 (qpoly(2, 1), qpoly(Fraction(1, 3), 1)), (qpoly(0, 1), qpoly(1, 2))):
+        with pytest.raises(PreconditionError):
+            poly_exact_div(f, g)
+    with pytest.raises(PreconditionError):
+        poly_exact_div(qpoly(1, 1), Poly.zero(QQ))
+
+
+def test_exact_div_over_q_matches_divmod(rng):
+    def draw(degree):
+        return Poly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                         for _ in range(degree)] + [Fraction(rng.choice([-3, 1, 5]), 7)])
+
+    for _ in range(50):
+        u, w = draw(rng.randint(0, 5)), draw(rng.randint(0, 4))
+        assert poly_exact_div(u * w, w) == u == poly_divmod(u * w, w)[0]
+        if w.degree:
+            with pytest.raises(PreconditionError):
+                poly_exact_div(u * w + Poly.one(QQ), w)
+
+
 def test_operations_reject_mixed_fields():
     from ratprime.errors import FieldMismatchError
     with pytest.raises(FieldMismatchError):
@@ -219,6 +248,13 @@ def test_q_gcd_exit_is_exact():
         assert d == Poly(QQ, prs).monic()
 
 
+def test_int_gcd_is_primitive_with_a_positive_leading_coefficient():
+    for a, b, d in (([], [-2, -4], [1, 2]), ([-6, 0, 3], [], [-2, 0, 1]),
+                    ([2, 2], [-3, -3], [1, 1]), ([-1, 0, 1], [4, -4], [-1, 1]),
+                    ([1, 1], [1, 2], [1])):
+        assert _intpoly.int_gcd(a, b) == _intpoly.int_gcd(b, a) == d
+
+
 @st.composite
 def _near_q_triple(draw):
     """Integer or Fraction lists u, v, w with entries that vanish or agree
@@ -250,6 +286,22 @@ def test_squarefree_q_needs_no_prs_gcd(monkeypatch):
     assert calls == []
     assert squarefree_decompose(qpoly(1, 1) ** 3).parts == ((qpoly(1, 1), 3),)
     assert calls
+
+
+def test_squarefree_takes_musser_only_when_p_is_at_most_the_degree(monkeypatch):
+    # Yun's loop needs every multiplicity below p; (x+1)^4 (x+2)^2 over F_3
+    # has degree 6 >= 3, and its leftover cube root x + 1 has degree 1 < 3
+    degrees = []
+    musser = squarefree._musser
+    monkeypatch.setattr(squarefree, "_musser",
+                        lambda f, p: degrees.append(len(f) - 1) or musser(f, p))
+    for p in (0, 3, 7, 101):
+        field = field_of(p)
+        f = Poly(field, (1, 1)) ** 4 * Poly(field, (2, 1)) ** 2
+        assert squarefree_decompose(f).parts == ((Poly(field, (2, 1)), 2),
+                                                 (Poly(field, (1, 1)), 4))
+        assert degrees == ([6] if p == 3 else [])
+        degrees.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +512,14 @@ def test_squarefree_mixed_mod3():
 
 @st.composite
 def _powered_factors(draw):
-    """p (0 for Q) and factors of degree at most 2 with exponents up to 3p,
-    so multiplicities p, 2p and 3p (p^2 for p = 3) all occur."""
-    p = draw(st.sampled_from([0, 3, 5, 7]))
+    """p (0 for Q) and factors of degree at most 2 with exponents up to 3p
+    for p <= 7, so multiplicities p, 2p and 3p (p^2 for p = 3) all occur and
+    Musser's loop runs; exponents up to 4 for p = 101 and up to 8 over Q,
+    where the degree stays below p and Yun's loop runs."""
+    p = draw(st.sampled_from([0, 3, 5, 7, 101]))
     coeff = st.integers(-3, 3) if p == 0 else st.integers(0, p - 1)
-    factor = st.tuples(st.lists(coeff, min_size=2, max_size=3), st.integers(1, 3 * p or 4))
+    top = {0: 8, 101: 4}.get(p, 3 * p)
+    factor = st.tuples(st.lists(coeff, min_size=2, max_size=3), st.integers(1, top))
     return p, draw(st.lists(factor, min_size=1, max_size=3))
 
 

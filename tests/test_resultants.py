@@ -125,6 +125,19 @@ def test_resultant_matches_sylvester_off_the_normal_prs(case):
             assert res == 0
 
 
+def test_normal_prs_steps_divide_in_the_same_pass(rng, monkeypatch):
+    # over Z a step with deg f = deg g + 1 forms prem(f, g) / (u * h) itself;
+    # only the first step of deg f = deg g + 2 goes through pseudo_rem
+    calls = []
+    prem = _intpoly.pseudo_rem
+    monkeypatch.setattr(_intpoly, "pseudo_rem", lambda f, g: calls.append(1) or prem(f, g))
+    for _ in range(20):
+        f, g = random_poly(rng, QQ, 12), random_poly(rng, QQ, 10)
+        assert resultant(f, g) == sylvester_resultant(f, g)
+        assert len(calls) <= 1
+        calls.clear()
+
+
 @st.composite
 def _disc_case(draw):
     """p (0 for Q) and the ascending coefficients of a degree-1..7 polynomial."""

@@ -8,7 +8,7 @@ from .fqring import (FqClass, FqFunction, all_functions, classify,
                      is_permutation, reduce_ring, ring_compose,
                      zero_divisor_witness)
 from .numutil import greatest_proper_divisor, is_prime, prime_factors
-from .oracle import (OracleBudget, SearchResult, decompose, h_adic_expansion,
+from .oracle import (OracleBudget, SearchResult, decompose,
                      poly_decompose, rat_decompose, rat_decompose_all_k,
                      rat_decompose_via_reduction, right_factor_quotient,
                      solve_left_factor)

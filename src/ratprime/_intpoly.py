@@ -3,15 +3,15 @@ and the polynomial kernel for both fields (`mod_*`) on trimmed coefficient
 lists, where p is the characteristic: ints in [0, p) over F_p, and p = 0
 meaning exact entries (ints or Fractions) over Q.  Both fields share one
 division loop, `mod_divmod`: the F_p gcd and the F_p resultant are Euclid
-on its remainders.  Both division loops (`mod_divmod` mod p, `pseudo_rem`)
-run the normal step, deg f = deg g + 1, in one pass.  Both resultants run
-one remainder sequence, `_res_sequence`: Euclid mod p, the subresultant PRS
-over Z, whose normal step forms the pseudo-remainder and divides it by the
-exact scale u * h in the same pass.  `res_linear_nodes` evaluates
-Res_x(a - t*b, c) at many nodes t0: it runs the first steps of that
-sequence once for all nodes, on remainders r0 + t*r1 whose quotients and
-leading coefficients carry no t, and only the rest per node (its docstring
-has the proof).
+on its remainders, and mod p it runs the normal step, deg f = deg g + 1, in
+one pass.  Every resultant remainder sequence is written with one step,
+`_step`: Euclid's remainder mod p, and over Z the subresultant remainder,
+whose normal step forms the pseudo-remainder and divides it by its exact
+scale in the same pass.  `_res_sequence` is a loop over `_step`, and
+`res_linear_nodes`, which evaluates Res_x(a - t*b, c) at many nodes t0,
+runs the first steps once for all nodes, on remainders r0 + t*r1 whose
+quotients and leading coefficients carry no t, and only the rest per node
+(its docstring has the proof).
 
 Over Q (p = 0) the kernel clears denominators once (`_clear`) and does its
 work in Z[x]:
@@ -143,24 +143,16 @@ def pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     """Strict pseudo-remainder: lc(g)^(deg f - deg g + 1) * f = q*g + r.
 
     Requires deg f >= deg g >= 0 with g nonzero.  Scales at every step so
-    the total scale factor is exactly lc(g)^(deg f - deg g + 1).  The normal
-    step (deg f = deg g + 1 >= 2) runs in one pass: r = lc^2 * f - q*g with
-    q = lc*f_n*x + lc*f_(n-1) - f_n*g_(m-1).
+    the total scale factor is exactly lc(g)^(deg f - deg g + 1).
     """
-    df, dg = len(f) - 1, len(g) - 1
     lead = g[-1]
-    if df == dg + 1 and dg:
-        fn = f[-1]
-        q1, q0, lead = lead * fn, lead * f[-2] - fn * g[-2], lead * lead
-        return trim([lead * x - q0 * y - q1 * z for x, y, z in zip(f, g, (0, *g))])
     r = list(f)
-    for k in range(df - dg, -1, -1):
-        c = r[k + dg]
+    for k in range(len(f) - len(g), -1, -1):
+        c = r.pop()  # the leading term, which the step cancels
         if lead != 1:
-            for i in range(len(r)):
-                r[i] *= lead
-        for i in range(dg + 1):
-            r[k + i] -= c * g[i]
+            r = [x * lead for x in r]
+        if c:
+            r[k:] = [x - c * y for x, y in zip(r[k:], g)]
     return trim(r)
 
 
@@ -186,65 +178,53 @@ def prs_resultant(f: list[int], g: list[int]) -> int:
     return _res_sequence(f, g, 0)
 
 
-def _rem(f: list, g: list, p: int) -> list:
-    """The remainder of one resultant step: Euclid's mod p, the
-    pseudo-remainder over Z (p = 0)."""
-    return mod_divmod(f, g, p)[1] if p else pseudo_rem(f, g)
+def _step(f: list, g: list, p: int, sign: int, u, h) -> tuple:
+    """(r, sign, u, h) after one step of the resultant's remainder sequence
+    on f, g with deg f >= deg g >= 1, from the state (sign, u, h).  The sign
+    flips when deg f * deg g is odd.
 
-
-def _step_scalars(df: int, dg: int, dr: int, lc, p: int, sign: int, u, h):
-    """(sign, u, h, scale) after a step from degrees (df, dg) to a remainder
-    of degree dr, with lc = lc(g).  Mod p, u accumulates lc^(df - dr) and
-    scale is 1.  Over Z, scale = u * h^delta is the exact divisor of the
-    pseudo-remainder, u becomes lc and h <- lc^delta / h^(delta - 1)."""
+    Mod p it is Euclid: r = f mod g and u accumulates lc(g)^(deg f - deg r).
+    Over Z (p = 0) it is the subresultant PRS: r = prem(f, g) / (u * h^delta)
+    with delta = deg f - deg g, then u <- lc(g) and h <- lc(g)^delta /
+    h^(delta - 1); both divisions are exact in Z (Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 3.3.7, without its
+    optional content step).  The normal step (delta = 1) forms the
+    pseudo-remainder lc^2 * f - (q1*x + q0)*g and divides it in one pass.
+    An empty r means a zero resultant, and then the state is not used.
+    """
+    df, dg, lc = len(f) - 1, len(g) - 1, g[-1]
     if df * dg % 2:
         sign = -sign
     if p:
-        return sign, u * pow(lc, df - dr, p) % p, h, 1
+        r = mod_divmod(f, g, p)[1]
+        return r, sign, u * pow(lc, df - len(r) + 1, p) % p, h
     delta = df - dg
-    scale = u * h ** delta
-    if delta:
-        h = lc ** delta // h ** (delta - 1)
-    return sign, lc, h, scale
+    if delta == 1:  # the scalars below at delta = 1, without their powers
+        fn, scale = f[-1], u * h
+        q1, q0, l2 = lc * fn, lc * f[-2] - fn * g[-2], lc * lc
+        r = trim([(l2 * x - q0 * y - q1 * z) // scale for x, y, z in zip(f, g, (0, *g))])
+        h = lc
+    else:
+        scale = u * h ** delta
+        r = [c // scale for c in pseudo_rem(f, g)]
+        if delta:
+            h = lc ** delta // h ** (delta - 1)
+    return r, sign, lc, h
 
 
 def _res_sequence(f: list, g: list, p: int, sign: int = 1, u=1, h=1):
-    """Res(f, g) of nonzero trimmed lists, not both constant, by the
-    remainder sequence, from the state (sign, u, h) that earlier steps left
-    (the defaults start it).
-
-    Mod p it is Euclid: Res(f, g) = (-1)^(deg f * deg g) lc(g)^(deg f -
-    deg r) Res(g, r) with r = f mod g, and u is the product of those powers.
-    Over Z (p = 0) it is the subresultant PRS: each step replaces f by
-    prem(f, g) / (u * h^delta), where u is the previous leading coefficient
-    and h <- lc^delta / h^(delta - 1); both divisions, and the one at the
-    end, are exact in Z (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 3.3.7, without its optional content step).  The normal
-    step (delta = 1) divides by u * h as it forms the pseudo-remainder, and
-    then u = h = lc.
-    """
+    """Res(f, g) of nonzero trimmed lists, not both constant: `_step` in a
+    loop from the state (sign, u, h) that earlier steps left (the defaults
+    start it), down to a constant g, which closes with sign * g^deg f,
+    times u mod p and divided by h^(deg f - 1) over Z (exactly)."""
     if len(f) < len(g):
         if (len(f) - 1) * (len(g) - 1) % 2:
             sign = -sign
         f, g = g, f
     while len(g) > 1:
-        df, dg, lc = len(f) - 1, len(g) - 1, g[-1]
-        if p or df != dg + 1:
-            r = _rem(f, g, p)
-            if not r:
-                return 0
-            sign, u, h, scale = _step_scalars(df, dg, len(r) - 1, lc, p, sign, u, h)
-            if scale != 1:
-                r = [c // scale for c in r]
-        else:  # the normal step over Z: prem(f, g) / (u * h) in one pass
-            fn, scale = f[-1], u * h
-            q1, q0, l2 = lc * fn, lc * f[-2] - fn * g[-2], lc * lc
-            r = trim([(l2 * x - q0 * y - q1 * z) // scale for x, y, z in zip(f, g, (0, *g))])
-            if not r:
-                return 0
-            if df * dg % 2:
-                sign = -sign
-            u = h = lc
+        r, sign, u, h = _step(f, g, p, sign, u, h)
+        if not r:
+            return 0
         f, g = g, r
     df = len(f) - 1
     if p:
@@ -277,11 +257,13 @@ def res_linear_nodes(a: list, b: list, c: list, nodes, p: int) -> list:
     f0 and g0 and agree with them wherever the quotient reads, so the
     node's step computes the same quotient, its remainder is r0 + t0*r1,
     of degree deg r0, and the scalars (u, h, sign) are the same at every
-    node.  The remainder is affine in t, so r1 = r(1) - r(0).  Over Z, the
-    subresultant PRS of f and g over the domain Z[t] takes these same
-    steps, and its divisions are exact in Z[t] (Collins 1967; Brown-Traub
-    1971); the divisor u * h^delta has no t, so r0 and r1 each divide
-    exactly in Z.  The first step that breaks a condition is not taken:
+    node.  The remainder is affine in t, so r1 = r(1) - r(0), and a shared
+    step is `_step` at t = 0 and at t = 1, whose scalars hold at every node.
+    Over Z, the subresultant PRS of f and g over the domain Z[t] takes these
+    same steps, and its divisions are exact in Z[t] (Collins 1967;
+    Brown-Traub 1971); the divisor u * h^delta has no t, so the remainders
+    at t = 0 and t = 1 each divide exactly in Z.  The first step that breaks
+    a condition is not taken:
     each node specialises f and g there and continues from the carried
     state (`_res_sequence`).  For D[f - t] (b = 1) t starts in the constant
     term and rises one index per step while the degrees fall by one, so
@@ -300,13 +282,11 @@ def res_linear_nodes(a: list, b: list, c: list, nodes, p: int) -> list:
         df, dg = len(f0) - 1, len(g0) - 1
         if not (df >= dg >= 1 and len(f1) <= dg and len(g1) <= 2 * dg - df):
             break
-        r0 = _rem(f0, g0, p)
-        r1 = _at((_rem(_at(f, 1, p), _at(g, 1, p), p), r0), -1, p)  # r(1) - r(0)
+        r0, *state = _step(f0, g0, p, sign, u, h)
+        r1 = _at((_step(_at(f, 1, p), _at(g, 1, p), p, sign, u, h)[0], r0), -1, p)  # r(1) - r(0)
         if len(r1) >= len(r0):
             break
-        sign, u, h, scale = _step_scalars(df, dg, len(r0) - 1, g0[-1], p, sign, u, h)
-        if scale != 1:
-            r0, r1 = [x // scale for x in r0], [x // scale for x in r1]
+        sign, u, h = state
         f, g = g, (r0, r1)
     return [_res_sequence(_at(f, t0, p), _at(g, t0, p), p, sign, u, h) for t0 in nodes]
 

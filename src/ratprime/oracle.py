@@ -41,7 +41,7 @@ from ._intpoly import mod_mul, trim
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField, QQ
 from .numutil import is_prime, proper_composite_divisors
-from .poly import Poly, poly_compose, poly_divmod, poly_exact_div
+from .poly import Poly, poly_compose, poly_exact_div
 from .ratfun import RatFun, rat_compose
 from .squarefree import divisor_counts, divisors, irreducible_factors
 
@@ -225,18 +225,6 @@ def solve_left_factor(f: RatFun, h: RatFun) -> RatFun | None:
         return None
     g = RatFun(*(Poly(field, digits).taylor_shift(-c) for digits in sol))
     return g if rat_compose(g, h) == f else None
-
-
-def h_adic_expansion(f: Poly, h: Poly) -> list[Poly]:
-    """Digits c_0..c_m with f = sum(c_i * h^i) and deg c_i < deg h."""
-    if h.degree < 1:
-        raise PreconditionError("base must be nonconstant")
-    digits = []
-    rest = f
-    while not rest.is_zero:
-        rest, digit = poly_divmod(rest, h)
-        digits.append(digit)
-    return digits
 
 
 def right_factor_quotient(f: Poly, h: Poly) -> Poly | None:

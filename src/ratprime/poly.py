@@ -183,17 +183,12 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
-    """f / g when g divides f, else PreconditionError.  Over Q the division
-    runs in Z[x] on the cleared lists (`_intpoly.mod_exact_div`)."""
-    if f.field.char:
-        q, r = poly_divmod(f, g)
-        if not r.is_zero:
-            raise PreconditionError("inexact polynomial division")
-        return q
+    """f / g when g divides f, else PreconditionError (`_intpoly.mod_exact_div`:
+    over Q the division runs in Z[x] on the cleared lists)."""
     _same_field(f, g)
     if g.is_zero:
         raise PreconditionError("division by the zero polynomial")
-    q = _intpoly.mod_exact_div(f.coeffs, g.coeffs, 0)
+    q = _intpoly.mod_exact_div(f.coeffs, g.coeffs, f.field.char)
     if q is None:
         raise PreconditionError("inexact polynomial division")
     return Poly._of(f.field, q)

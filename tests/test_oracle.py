@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
-                      RatFun, SearchResult, decompose, h_adic_expansion, parse_expression, poly_compose,
+                      RatFun, SearchResult, decompose, parse_expression, poly_compose,
                       poly_exact_div, poly_gcd,
                       poly_decompose, rat_compose, rat_decompose,
                       rat_decompose_all_k, rat_decompose_via_reduction,
@@ -19,59 +19,17 @@ from ratprime.squarefree import irreducible_factors
 from conftest import field_of, fppoly, from_sympy, qpoly, random_poly, to_sympy, untimed
 
 
-def _reconstruct(digits, h):
-    acc = Poly.zero(h.field)
-    power = Poly.one(h.field)
-    for digit in digits:
-        acc = acc + digit * power
-        power = power * h
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# h-adic expansion
-
-def test_h_adic_composite_digits():
-    digits = h_adic_expansion(qpoly(0, 0, 1, 0, 1), qpoly(0, 0, 1))
-    assert digits == [Poly.zero(QQ), Poly.one(QQ), Poly.one(QQ)]
-
-
-def test_h_adic_base_itself():
-    h = qpoly(1, 2, 0, 1)
-    assert h_adic_expansion(h, h) == [Poly.zero(QQ), Poly.one(QQ)]
-
-
-def test_h_adic_nonconstant_digit_blocks_decomposition():
-    # x^4 + x base x^2: reconstruction holds but the low digit x is
-    # nonconstant, which certifies that no g satisfies f = g(x^2)
-    f, h = qpoly(0, 1, 0, 0, 1), qpoly(0, 0, 1)
-    digits = h_adic_expansion(f, h)
-    assert digits[0] == Poly.x(QQ)
-    assert _reconstruct(digits, h) == f
-    assert right_factor_quotient(f, h) is None
-
-
-def test_h_adic_reconstruction_random(rng):
-    for field in (QQ, PrimeField(5)):
-        for _ in range(30):
-            f = random_poly(rng, field, rng.randint(0, 8))
-            h = random_poly(rng, field, rng.randint(1, 4))
-            digits = h_adic_expansion(f, h)
-            assert _reconstruct(digits, h) == f
-            assert all(d.degree < h.degree for d in digits if not d.is_zero)
-
-
-def test_h_adic_rejects_constant_base():
-    with pytest.raises(PreconditionError):
-        h_adic_expansion(qpoly(1, 1), qpoly(3))
-
-
 # ---------------------------------------------------------------------------
 # right factors
 
 def test_right_factor_quotient_found():
     g = right_factor_quotient(qpoly(0, 0, 1, 0, 1), qpoly(0, 0, 1))
     assert g == qpoly(0, 1, 1)
+
+
+def test_right_factor_quotient_none_when_a_digit_is_not_constant():
+    # x^4 + x in base x^2 has the low digit x, so no g has g(x^2) = x^4 + x
+    assert right_factor_quotient(qpoly(0, 1, 0, 0, 1), qpoly(0, 0, 1)) is None
 
 
 def test_right_factor_quotient_monomial():

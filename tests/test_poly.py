@@ -134,6 +134,20 @@ def test_exact_div_over_q():
         poly_exact_div(qpoly(1, 1), Poly.zero(QQ))
 
 
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_exact_div_over_fp(p):
+    field = PrimeField(p)
+    u, w = Poly(field, [3, 1, 4]), Poly(field, [p - 2, 0, 1])
+    assert poly_exact_div(u * w, w) == u
+    assert poly_exact_div(Poly.zero(field), w).is_zero
+    for f, g in ((u * w + Poly.one(field), w), (Poly(field, [1, 1]), w),
+                 (w, Poly(field, [1, 0, 0, 1]))):
+        with pytest.raises(PreconditionError, match="inexact polynomial division"):
+            poly_exact_div(f, g)
+    with pytest.raises(PreconditionError, match="zero polynomial"):
+        poly_exact_div(u, Poly.zero(field))
+
+
 def test_exact_div_over_q_matches_divmod(rng):
     def draw(degree):
         return Poly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))

@@ -467,25 +467,23 @@ def test_disc_in_t_shares_the_first_half_of_the_sequence(rng, monkeypatch, field
     # D[f - t] at degree 32: t starts in the constant term and rises one
     # index per step, so every step down to degree 17 is run once for all
     # 32 nodes and no node starts its own remainder sequence above it
+    # (every step of either field goes through _intpoly._step)
     dividends, starts = [], []
-    run, divmod_, prem = _intpoly._res_sequence, _intpoly.mod_divmod, _intpoly.pseudo_rem
+    run, step = _intpoly._res_sequence, _intpoly._step
 
     def per_node(f, g, *state):
         starts.append(max(len(f), len(g)) - 1)
         return run(f, g, *state)
 
-    def counting(division):
-        def wrapper(f, g, *args):
-            dividends.append(len(f) - 1)
-            return division(f, g, *args)
-        return wrapper
+    def counting(f, g, *state):
+        dividends.append(len(f) - 1)
+        return step(f, g, *state)
 
     monkeypatch.setattr(_intpoly, "_res_sequence", per_node)
-    monkeypatch.setattr(_intpoly, "mod_divmod", counting(divmod_))
-    monkeypatch.setattr(_intpoly, "pseudo_rem", counting(prem))
+    monkeypatch.setattr(_intpoly, "_step", counting)
     f = random_poly(rng, field, 32)
     disc_in_t(f)
-    # a shared step divides twice (its remainder at t = 0 and at t = 1)
+    # a shared step runs twice (its remainder at t = 0 and at t = 1)
     assert sum(d > 17 for d in dividends) <= 2 * (32 - 17)
     assert len(starts) == 32 and max(starts) <= 17
 

@@ -10,13 +10,16 @@ perfbench/corpus.py and runs it through each side's `cli.main`, job by job,
 in whole passes: one untimed pass per side first, whose reports (without
 `timing_ms`) are compared, then ROUNDS timed rounds of one pass per side,
 alternating which side runs first.  It prints jobs/s per round for each
-side, the medians, how many rounds the change won, and whether every report
-is identical.  Nothing is written under perfbench/ or the checkouts.
+side, the medians, the median of the per-round change/parent ratios, how
+many rounds the change won, and whether every report is identical.  Nothing
+is written under perfbench/ or the checkouts.
 
 Both sides share one interpreter and the host's drift between them, so the
 ratio is steadier than that of two benchmark processes run one after the
-other.  It is a pre-check only: a claimed gain rests on perfbench/run.py
-pairs.
+other.  The two sides of one round run back to back and share most of that
+drift, so the median paired ratio is steadier still than the ratio of the
+medians when the host's speed swings across rounds.  It is a pre-check
+only: a claimed gain rests on perfbench/run.py pairs.
 """
 
 from __future__ import annotations
@@ -100,11 +103,13 @@ def main(argv=None) -> int:
                   + " jobs/s")
 
     medians = {side: statistics.median(rates[side]) for side in SIDES}
+    paired = statistics.median(c / p for p, c in zip(rates["parent"], rates["change"]))
     wins = sum(c > p for p, c in zip(rates["parent"], rates["change"]))
     same = [i for i, (a, b) in enumerate(zip(first["parent"], first["change"])) if a != b]
     print(f"{args.workload} seed {args.seed}, {len(argvs)} jobs a pass")
     print(f"median jobs/s: parent {medians['parent']:.1f}  change {medians['change']:.1f}"
           f"  ({medians['change'] / medians['parent'] - 1:+.1%})")
+    print(f"median per-round change/parent: {paired:.3f} ({paired - 1:+.1%})")
     print(f"change wins {wins} of {args.rounds} rounds")
     print("reports identical: yes" if not same else
           f"reports identical: no, jobs {same[:20]}{' ...' if len(same) > 20 else ''}")

@@ -4,14 +4,19 @@ lists, where p is the characteristic: ints in [0, p) over F_p, and p = 0
 meaning exact entries (ints or Fractions) over Q.  Both fields share one
 division loop, `mod_divmod`: the F_p gcd and the F_p resultant are Euclid
 on its remainders, and mod p it runs the normal step, deg f = deg g + 1, in
-one pass.  Every resultant remainder sequence is written with one step,
-`_step`: Euclid's remainder mod p, and over Z the subresultant remainder,
-whose normal step forms the pseudo-remainder and divides it by its exact
-scale in the same pass.  `_res_sequence` is a loop over `_step`, and
-`res_linear_nodes`, which evaluates Res_x(a - t*b, c) at many nodes t0,
-runs the first steps once for all nodes, on remainders r0 + t*r1 whose
-quotients and leading coefficients carry no t, and only the rest per node
-(its docstring has the proof).
+one pass.  Every scalar resultant's remainder sequence is written with one
+step, `_step`: Euclid's remainder mod p, and over Z the subresultant
+remainder, whose normal step forms the pseudo-remainder and divides it by
+its exact scale in the same pass; `_res_sequence` is a loop over `_step`.
+
+Res_x(a - t*b, c) as a polynomial in t has one routine per field.  Over F_p
+with p > deg c, `mod_res_linear` reads it off as a scaled characteristic
+polynomial in F_p[x]/(c): power sums by baby steps and giant steps, each
+product one int product of Kronecker substitutions, and Newton's identities
+(its docstring has the proof).  Over Z, `res_linear_nodes` evaluates it at
+many integer nodes t0 for interpolation: it runs the first steps once for
+all nodes, on remainders r0 + t*r1 whose quotients and leading coefficients
+carry no t, and only the rest per node (its docstring has the proof).
 
 Over Q (p = 0) the kernel clears denominators once (`_clear`) and does its
 work in Z[x]:
@@ -47,7 +52,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 # the word prime of the modular exit in the Q gcd (`mod_gcd`)
 EXIT_PRIME = 2**31 - 1
@@ -232,18 +238,16 @@ def _res_sequence(f: list, g: list, p: int, sign: int = 1, u=1, h=1):
     return sign * g[0] ** df // h ** (df - 1) if df else sign
 
 
-def _at(pair: tuple, t0, p: int) -> list:
-    """x0 + t0*x1 for the pair (x0, x1), trimmed, mod p when p > 0."""
+def _at(pair: tuple, t0) -> list:
+    """x0 + t0*x1 for the pair (x0, x1), trimmed."""
     x0, x1 = pair
-    if p:
-        return trim([(x + t0 * y) % p for x, y in zip_longest(x0, x1, fillvalue=0)])
     return trim([x + t0 * y for x, y in zip_longest(x0, x1, fillvalue=0)])
 
 
-def res_linear_nodes(a: list, b: list, c: list, nodes, p: int) -> list:
-    """[Res_x(a - t0*b, c) for t0 in nodes], mod p by Euclid, or over Z by
-    the subresultant PRS when p = 0; a, b, c are trimmed, c nonzero, and at
-    each node a - t0*b keeps the degree max(deg a, deg b) >= 1.
+def res_linear_nodes(a: list, b: list, c: list, nodes) -> list:
+    """[Res_x(a - t0*b, c) for t0 in nodes] over Z by the subresultant PRS;
+    a, b, c are trimmed integer lists, c nonzero, and at each node a - t0*b
+    keeps the degree max(deg a, deg b) >= 1.
 
     The sequence first runs once for all nodes, on pairs (x0, x1) that
     stand for x0 + t*x1, starting from f = (a, -b) and g = (c, 0), swapped
@@ -259,18 +263,17 @@ def res_linear_nodes(a: list, b: list, c: list, nodes, p: int) -> list:
     of degree deg r0, and the scalars (u, h, sign) are the same at every
     node.  The remainder is affine in t, so r1 = r(1) - r(0), and a shared
     step is `_step` at t = 0 and at t = 1, whose scalars hold at every node.
-    Over Z, the subresultant PRS of f and g over the domain Z[t] takes these
-    same steps, and its divisions are exact in Z[t] (Collins 1967;
-    Brown-Traub 1971); the divisor u * h^delta has no t, so the remainders
-    at t = 0 and t = 1 each divide exactly in Z.  The first step that breaks
-    a condition is not taken:
-    each node specialises f and g there and continues from the carried
-    state (`_res_sequence`).  For D[f - t] (b = 1) t starts in the constant
-    term and rises one index per step while the degrees fall by one, so
-    about the first half of the steps is shared; when deg b >= deg a the
-    leading coefficient carries t and nothing is shared.
+    The subresultant PRS of f and g over the domain Z[t] takes these same
+    steps, and its divisions are exact in Z[t] (Collins 1967; Brown-Traub
+    1971); the divisor u * h^delta has no t, so the remainders at t = 0 and
+    t = 1 each divide exactly in Z.  The first step that breaks a condition
+    is not taken: each node specialises f and g there and continues from the
+    carried state (`_res_sequence`).  For D[f - t] (b = 1) t starts in the
+    constant term and rises one index per step while the degrees fall by
+    one, so about the first half of the steps is shared; when deg b >= deg a
+    the leading coefficient carries t and nothing is shared.
     """
-    f = (a, [-y % p if p else -y for y in b])
+    f = (a, [-y for y in b])
     g = (c, [])
     sign, u, h = 1, 1, 1
     if len(b) < len(a) < len(c):
@@ -282,13 +285,147 @@ def res_linear_nodes(a: list, b: list, c: list, nodes, p: int) -> list:
         df, dg = len(f0) - 1, len(g0) - 1
         if not (df >= dg >= 1 and len(f1) <= dg and len(g1) <= 2 * dg - df):
             break
-        r0, *state = _step(f0, g0, p, sign, u, h)
-        r1 = _at((_step(_at(f, 1, p), _at(g, 1, p), p, sign, u, h)[0], r0), -1, p)  # r(1) - r(0)
+        r0, *state = _step(f0, g0, 0, sign, u, h)
+        r1 = _at((_step(_at(f, 1), _at(g, 1), 0, sign, u, h)[0], r0), -1)  # r(1) - r(0)
         if len(r1) >= len(r0):
             break
         sign, u, h = state
         f, g = g, (r0, r1)
-    return [_res_sequence(_at(f, t0, p), _at(g, t0, p), p, sign, u, h) for t0 in nodes]
+    return [_res_sequence(_at(f, t0), _at(g, t0), 0, sign, u, h) for t0 in nodes]
+
+
+def _pack(a: list, k: int, order: str = "little") -> int:
+    """The Kronecker substitution x -> 2^(8k) of a list of nonnegative ints
+    below 2^(8k), one k-byte slot each; with order "big" the list is packed
+    reversed."""
+    return int.from_bytes(b"".join([x.to_bytes(k, order) for x in a]), order)
+
+
+def _unpack(n: int, k: int, start: int, count: int, p: int) -> list:
+    """The k-byte slots start .. start + count - 1 of a packed n, mod p."""
+    raw, read = n.to_bytes((n.bit_length() + 7) // 8, "little"), int.from_bytes
+    return [read(raw[i:i + k], "little") % p for i in range(start * k, (start + count) * k, k)]
+
+
+def _norm_inverse(u: list, c: list, p: int) -> tuple:
+    """(N(u), u^-1 mod c) for a monic c and deg u < deg c, where N(u) =
+    Res(c, u) is the product of u over the roots of c; (0, None) when u is
+    not a unit mod c.  Extended Euclid on the remainders of `mod_divmod`:
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) for r =
+    f mod g, and each remainder is s*u mod c for the cofactor s it carries."""
+    if not u:
+        return 0, None
+    f, g, s0, s1, norm = c, u, [], [1], 1
+    while len(g) > 1:
+        q, r = mod_divmod(f, g, p)
+        if not r:
+            return 0, None
+        df, dg = len(f) - 1, len(g) - 1
+        norm = norm * pow(g[-1], df - len(r) + 1, p) * (-1) ** (df * dg) % p
+        f, g, s0, s1 = g, r, s1, mod_sub(s0, mod_mul(q, s1, p), p)
+    inv = pow(g[0], -1, p)
+    return norm * pow(g[0], len(f) - 1, p) % p, [x * inv % p for x in s1]
+
+
+def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
+    """Res_x(a - t*b, c) over F_p as a trimmed coefficient list in t, for
+    residue lists with deg c = m >= 1, n = max(deg a, deg b) >= 1 and p > m:
+    a scaled characteristic polynomial in A = F_p[x]/(c~), c~ = c / lc(c),
+    after Bostan, Flajolet, Salvy and Schost, "Fast computation of special
+    resultants" (JSC 2006).
+
+    Let a~, b~ be a, b mod c~ and let beta run over the roots of c, with
+    multiplicity, in an algebraic closure.  Over F_p(t), a - t*b has
+    x-degree n identically, so Poisson's formula holds there:
+        R(t) = (-1)^(nm) lc(c)^n prod_beta (a~(beta) - t*b~(beta)),
+    an identity in F_p[t], so it holds at every t = s too.  For w in A let
+    E_w(z) = prod_beta (1 - z*w(beta)); from the power sums P_k = sum_beta
+    w(beta)^k = Tr(w^k) (the trace of multiplication by w on A), Newton's
+    identities k*E_k = -sum_{i=1..k} P_i E_{k-i} give it, dividing by k <= m
+    < p.
+    - When b~ is a nonzero constant b0 (every polynomial f, where b = 1),
+      w = a~/b0 and prod_beta (w(beta) - t) = (-1)^m t^m E_w(1/t), so R(t) =
+      (-1)^(nm+m) lc(c)^n b0^m t^m E_w(1/t).
+    - Otherwise s0 is the first of 0..m where u = a~ - s0*b~ is a unit of A,
+      which is where R(s0) = (-1)^(nm) lc(c)^n N(u) != 0 with N(u) =
+      prod_beta u(beta) = Res(c~, u) (`_norm_inverse`).  R has degree <= m,
+      so R is zero when no one of these m + 1 values qualifies.  With w =
+      b~/u, a~ - t*b~ = u*(1 - (t - s0)*w), so R(t) = R(s0) E_w(t - s0).
+
+    The traces: Tr(x^i) = s_i is the i-th power sum of the roots of c~, and
+    sum_i s_i y^i = rev(c~')/rev(c~), the logarithmic derivative reversed;
+    Tr is linear, so Tr(g*h) = sum g_i h_j s_(i+j) for g, h in A.  The P_k
+    come by baby steps and giant steps (Shoup 1994): with r = ceil(sqrt m),
+    P_(jr+i) = <w^i, v> with v_l = Tr(x^l G^j) = sum_h (G^j)_h s_(l+h) for
+    G = w^r, one Hankel product for each j, so about 2 sqrt(m) products in A.
+
+    Every product is one int product of Kronecker substitutions (`_pack`),
+    in slots of ceil((2 bits(p) + bits(m) + 2)/8) bytes: each slot of a
+    product of residue lists sums at most m products of two residues, less
+    than m p^2.  A product f (deg f <= 2m - 2) reduces mod c~ by Barrett:
+    with I = 1/rev(c~) mod y^(m-1), f = q*c~ + r has rev(q) = rev(f)*I mod
+    y^(m-1) and r = f - q*c~ mod x^m, two more products.
+    """
+    m, n = len(c) - 1, max(len(a), len(b)) - 1
+    lead = c[-1]
+    inv = pow(lead, -1, p)
+    mc = [x * inv % p for x in c]
+    abar, bbar = mod_divmod(a, mc, p)[1], mod_divmod(b, mc, p)[1]
+    k = (2 * p.bit_length() + m.bit_length() + 9) // 8
+    # 1/rev(c~) to 2m - 1 terms: I is its first m - 1
+    rc, series = mc[-2::-1], [1]
+    for i in range(1, 2 * m - 1):
+        series.append(-sum(map(mul, rc, series[::-1])) % p)
+    traces = _unpack(_pack(mod_deriv(mc, p), k, "big") * _pack(series, k), k, 0, 2 * m - 1, p)
+    barrett, cpack = _pack(series[:m - 1], k), _pack(mc[:m], k)
+
+    def reduce(prod: int) -> list:
+        """The residue mod c~ of a packed product of two residue lists."""
+        f = _unpack(prod, k, 0, 2 * m - 1, p)
+        q = _unpack(_pack(f[m:], k, "big") * barrett, k, 0, m - 1, p)  # rev(q)
+        qc = _unpack(_pack(q, k, "big") * cpack, k, 0, m, p)
+        return trim([(x - y) % p for x, y in zip(f, qc)])
+
+    if len(bbar) == 1:
+        s0, norm, inv = None, pow(bbar[0], m, p), pow(bbar[0], -1, p)
+        w = [x * inv % p for x in abar]
+    else:
+        for s0 in range(m + 1):
+            u = trim([(x - s0 * y) % p for x, y in zip_longest(abar, bbar, fillvalue=0)])
+            norm, uinv = _norm_inverse(u, mc, p)
+            if norm:
+                break
+        else:
+            return []
+        w = reduce(_pack(bbar, k) * _pack(uinv, k))
+    r = isqrt(m - 1) + 1
+    wpack = _pack(w, k)
+    baby = [[1], w]
+    while len(baby) <= r:
+        baby.append(reduce(_pack(baby[-1], k) * wpack))
+    giant = baby.pop()
+    gpack, tpack = _pack(giant, k), _pack(traces, k)
+    sums = []
+    for j in range(m // r + 1):
+        if j:
+            g = reduce(_pack(g, k) * gpack) if j > 1 else giant
+            v = _unpack(tpack * _pack(g, k, "big"), k, len(g) - 1, m, p)
+        else:
+            v = traces[:m]
+        sums.extend(sum(map(mul, x, v)) % p for x in baby[:m + 1 - j * r])
+    e = [1]
+    for i in range(1, m + 1):
+        e.append(-sum(map(mul, sums[1:i + 1], e[::-1])) * pow(i, -1, p) % p)
+    scale = (-1) ** (n * m) * pow(lead, n, p) * norm % p
+    if s0 is None:
+        e, scale = e[::-1], (-1) ** m * scale
+    elif s0:  # e(t - s0) by Horner
+        out = e[-1:]
+        for x in reversed(e[:-1]):
+            out = [(y - s0 * z) % p for y, z in zip([0, *out], out + [0])]
+            out[0] = (out[0] + x) % p
+        e = out
+    return trim([x * scale % p for x in e])
 
 
 def int_mul(a: list, b: list) -> list:

@@ -383,8 +383,9 @@ def test_small_field_evaluates_no_polynomial_determinant(rng, monkeypatch):
 
 def _per_node_res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     """Res_x(a - t*b, c) by one full remainder sequence from scratch at each
-    node, on the same nodes and routes as `res_x_linear_t`: the per-node
-    loop that the shared prefix replaced, kept as the reference."""
+    node and interpolation: residue nodes where `res_x_linear_t` takes the
+    characteristic polynomial over F_p, and its integer nodes elsewhere.
+    The per-node loop that both routes replaced, kept as the reference."""
     field = a.field
     n = max(len(a.coeffs), len(b.coeffs)) - 1
     if c.degree == 0:
@@ -462,12 +463,12 @@ def test_res_x_linear_t_matches_per_node_reference(case):
         assert res.is_zero
 
 
-@pytest.mark.parametrize("field", [PrimeField(2**31 - 1), QQ], ids=["F_(2^31-1)", "Q"])
+@pytest.mark.parametrize("field", [QQ], ids=["Q"])
 def test_disc_in_t_shares_the_first_half_of_the_sequence(rng, monkeypatch, field):
-    # D[f - t] at degree 32: t starts in the constant term and rises one
-    # index per step, so every step down to degree 17 is run once for all
-    # 32 nodes and no node starts its own remainder sequence above it
-    # (every step of either field goes through _intpoly._step)
+    # D[f - t] at degree 32 on the integer route: t starts in the constant
+    # term and rises one index per step, so every step down to degree 17 is
+    # run once for all 32 nodes and no node starts its own remainder
+    # sequence above it (every step goes through _intpoly._step)
     dividends, starts = [], []
     run, step = _intpoly._res_sequence, _intpoly._step
 
@@ -486,6 +487,135 @@ def test_disc_in_t_shares_the_first_half_of_the_sequence(rng, monkeypatch, field
     # a shared step runs twice (its remainder at t = 0 and at t = 1)
     assert sum(d > 17 for d in dividends) <= 2 * (32 - 17)
     assert len(starts) == 32 and max(starts) <= 17
+
+
+def test_disc_in_t_over_a_word_prime_evaluates_no_nodes(rng, monkeypatch):
+    # over F_(2^31-1) D[f - t] is one characteristic polynomial: no node
+    # values and no interpolation
+    def refuse(*args):
+        raise AssertionError("node route taken")
+
+    monkeypatch.setattr(_intpoly, "res_linear_nodes", refuse)
+    monkeypatch.setattr(resultants, "interpolate", refuse)
+    field = PrimeField(2**31 - 1)
+    f = random_poly(rng, field, 32)
+    assert disc_in_t(f).degree == 31
+
+
+_KERNEL_KINDS = ("D[f - t]", "rational f", "zero at t = 0", "b shares a square with c",
+                 "common factor", "deg c = 1", "deg b >= deg a", "bad node")
+
+
+@st.composite
+def _mod_res_linear_case(draw):
+    """(a, b, c, kind) over F_p that take `_intpoly.mod_res_linear`, with p
+    = deg c + 2 (the smallest such prime field when b_n != 0), 101,
+    1000003 or 2^31 - 1."""
+    kind = draw(st.sampled_from(_KERNEL_KINDS))
+    p = draw(st.sampled_from([0, 101, 1_000_003, 2**31 - 1] if kind != "rational f"
+                             else [101, 1_000_003, 2**31 - 1]))
+    if kind == "deg c = 1":
+        m = 1
+    elif p:
+        m = draw(st.integers(2, 9))
+    else:  # deg c + 2 prime
+        m = draw(st.sampled_from([3, 5, 9, 11] if kind != "D[f - t]" else [3, 5, 9]))
+    p = p or m + 2
+    field = PrimeField(p)
+
+    def poly(degree):
+        if degree < 0:
+            return Poly.zero(field)
+        return Poly(field, draw(st.lists(st.integers(0, p - 1), min_size=degree,
+                                         max_size=degree)) + [draw(st.integers(1, p - 1))])
+
+    n = draw(st.integers(1, 7))
+    a, b, c = poly(n), poly(draw(st.integers(-1, n - 1))), poly(m)
+    if kind == "D[f - t]":
+        a, b = poly(m + 1), Poly.one(field)
+        c = a.derivative()
+    elif kind == "rational f":
+        f = RatFun(poly(draw(st.integers(1, 5))), poly(draw(st.integers(1, 5))))
+        assume(not f.is_constant and not f.derivative().numerator.is_zero)
+        a, b, c = f.numerator, f.denominator, f.derivative().numerator
+    elif kind == "zero at t = 0":  # Res(a, c) = 0 and b is not constant mod c
+        s = poly(1)
+        a, b, c = s * poly(n - 1), poly(draw(st.integers(1, m - 1))), s * poly(m - 1)
+    elif kind == "b shares a square with c":
+        s = poly(1)
+        b, c = s * s * poly(draw(st.integers(0, 3))), s * poly(m - 1)
+    elif kind == "common factor":
+        s = poly(1)
+        a, b, c = s * poly(n - 1), s * poly(draw(st.integers(0, 3))), s * poly(m - 1)
+    elif kind == "deg b >= deg a":
+        a, b = poly(draw(st.integers(-1, n))), poly(n)
+    elif kind == "bad node":  # a_n / b_n = s for an s in 0..m+1
+        b = poly(n)
+        a = poly(n - 1) + b.scale(draw(st.integers(0, m + 1)))
+    return a, b, c, kind
+
+
+@untimed
+@given(_mod_res_linear_case())
+def test_mod_res_linear_matches_the_references(case):
+    a, b, c, kind = case
+    assume(max(a.degree, b.degree) >= 1 and c.degree >= 1)
+    calls = []
+    kernel = _intpoly.mod_res_linear
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_intpoly, "mod_res_linear", lambda *args: calls.append(1) or kernel(*args))
+        res = res_x_linear_t(a, b, c)
+    assert calls == [1]
+    assert res == _per_node_res_x_linear_t(a, b, c)
+    if a.degree + c.degree <= 12:
+        assert res == _tpoly_sylvester(a, b, c)
+    if kind == "common factor":
+        assert res.is_zero
+    if kind == "zero at t = 0":
+        assert not res.coeff(0)
+
+
+@pytest.mark.parametrize("kind", ["D[f - t]", "rational f", "zero at t = 0"])
+def test_mod_res_linear_at_deg_c_64(rng, kind):
+    # slots of a product sum up to 64 products of two residues below 2^31
+    field = PrimeField(2**31 - 1)
+    if kind == "D[f - t]":
+        a = Poly(field, [rng.randrange(field.char) for _ in range(65)] + [1])
+        b, c = Poly.one(field), a.derivative()
+    else:
+        a, b, c = (Poly(field, [rng.randrange(field.char) for _ in range(d)] + [1])
+                   for d in (40, 20, 64))
+        if kind == "zero at t = 0":
+            s = Poly(field, (rng.randrange(field.char), 1))
+            a, c = a * s, Poly(field, c.coeffs[1:]) * s
+    assert c.degree == 64
+    res = res_x_linear_t(a, b, c)
+    assert res == _per_node_res_x_linear_t(a, b, c)
+    assert (not res.coeff(0)) == (kind == "zero at t = 0")
+
+
+@st.composite
+def _integer_poly_mod_q(draw):
+    """(f, q): f of degree 2..9 with integer coefficients in [-2^40, 2^40]
+    and q in {1000003, 2^31 - 1} dividing neither deg f nor lc(f)."""
+    q = draw(st.sampled_from([1_000_003, 2**31 - 1]))
+    n = draw(st.integers(2, 9))
+    coeff = st.integers(-2**40, 2**40)
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
+    lead = draw(coeff.filter(lambda v: v % q))
+    return Poly(QQ, coeffs + [lead]), q
+
+
+@untimed
+@given(_integer_poly_mod_q())
+def test_disc_in_t_mod_q_is_the_image_of_the_one_over_q(case):
+    # q does not divide n * lc(f), so f and f' keep their degrees mod q, the
+    # Sylvester matrix of f - t and f' keeps its shape, and D[f - t] over F_q
+    # (characteristic polynomial) is the image of D[f - t] over Q (integer
+    # nodes and interpolation)
+    f, q = case
+    field = PrimeField(q)
+    assert disc_in_t(Poly(field, f.coeffs)) == Poly(field, disc_in_t(f).coeffs)
 
 
 # ---------------------------------------------------------------------------

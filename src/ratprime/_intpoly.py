@@ -46,6 +46,15 @@ work in Z[x]:
   divides exactly, which it always does for the values of an integer
   polynomial at integer nodes, and falls back to an exact Fraction
   otherwise.
+
+Powering and composition are written once, for both fields, on `mod_mul`.
+`mod_pow` is the left-to-right binary method (Knuth, TAOCP vol. 2, 4.6.3):
+a squaring for each bit of e below the top one and a product by a for each
+of those bits that is set, never a product by 1; its one hook maps each
+product to what the caller keeps (a remainder mod w, or a truncation).
+`mod_forms` lists the forms u^i v^(m-i) in which a rational g(u/v) of degree
+m is written over v^m.  `mod_compose` is Horner's rule, which holds one
+power of h at a time where the forms would hold all of them.
 """
 
 from __future__ import annotations
@@ -419,12 +428,8 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
     scale = (-1) ** (n * m) * pow(lead, n, p) * norm % p
     if s0 is None:
         e, scale = e[::-1], (-1) ** m * scale
-    elif s0:  # e(t - s0) by Horner
-        out = e[-1:]
-        for x in reversed(e[:-1]):
-            out = [(y - s0 * z) % p for y, z in zip([0, *out], out + [0])]
-            out[0] = (out[0] + x) % p
-        e = out
+    elif s0:
+        e = mod_compose(e, [-s0 % p, 1], p)
     return trim([x * scale % p for x in e])
 
 
@@ -453,6 +458,37 @@ def mod_mul(a: list, b: list, p: int) -> list:
     (a, da), (b, db) = _clear(a), _clear(b)
     out, d = int_mul(a, b), da * db
     return [Fraction(c) for c in out] if d == 1 else [Fraction(c, d) for c in out]
+
+
+def mod_pow(a: list, e: int, p: int, reduce=lambda a: a) -> list:
+    """a^e for e >= 0 by the left-to-right binary method, mod p or exactly
+    when p = 0, with `reduce` applied to every product."""
+    out = a if e else [1]
+    for bit in bin(e)[3:]:
+        out = reduce(mod_mul(out, out, p))
+        if bit == "1":
+            out = reduce(mod_mul(out, a, p))
+    return out
+
+
+def mod_forms(u: list, v: list, m: int, p: int) -> list:
+    """[u^i v^(m-i) for i = 0..m], mod p or exactly when p = 0; with v = 1
+    they are the powers of u."""
+    upow = [[1]]
+    for _ in range(m):
+        upow.append(mod_mul(upow[-1], u, p))
+    if len(v) == 1 and v[0] == 1:
+        return upow
+    vpow = mod_forms(v, [1], m, p)
+    return [mod_mul(x, y, p) for x, y in zip(upow, reversed(vpow))]
+
+
+def mod_compose(g: list, h: list, p: int) -> list:
+    """g(h(x)) by Horner's rule, mod p or exactly when p = 0."""
+    acc = []
+    for c in reversed(g):
+        acc = mod_add(mod_mul(acc, h, p), [c] if c else [], p)
+    return acc
 
 
 def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product, zip_longest
 
-from ._intpoly import mod_mul, trim
+from ._intpoly import mod_forms, mod_mul, mod_pow, trim
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField, QQ
 from .numutil import is_prime, proper_composite_divisors
@@ -151,12 +151,7 @@ def _tame_right_factor(f: Poly, k: int) -> Poly:
     target = f.monic().coeffs[::-1]  # target[j] is the coefficient of x^(n-j)
     top = [field.one]  # top[j] is the coefficient of x^(k-j) in h
     for j in range(1, k):
-        power, base, e = [field.one], top, m
-        while e:
-            if e & 1:
-                power = mod_mul(power, base, p)[:j + 1]
-            base = mod_mul(base, base, p)[:j + 1]
-            e >>= 1
+        power = mod_pow(top, m, p, lambda a: a[:j + 1])
         gap = target[j] - (power[j] if j < len(power) else 0)
         top.append(field.div(gap, m))
     return Poly(field, [0, *reversed(top)])
@@ -176,16 +171,7 @@ def _left_factor(f1: list, f2: list, u: list, v: list, m: int, p: int):
     or None when either does not expand.  Needs deg u != deg v: the forms
     then have distinct degrees, and each digit is read off the leading
     term of what is left."""
-    upow = [[1]]
-    for _ in range(m):
-        upow.append(mod_mul(upow[-1], u, p))
-    if len(v) == 1 and v[0] == 1:  # a polynomial candidate: every v^(m-i) is 1
-        forms = upow
-    else:
-        vpow = [[1]]
-        for _ in range(m):
-            vpow.append(mod_mul(vpow[-1], v, p))
-        forms = [mod_mul(upow[i], vpow[m - i], p) for i in range(m + 1)]
+    forms = mod_forms(u, v, m, p)
     order = range(m, -1, -1) if len(u) > len(v) else range(m + 1)  # by degree, descending
     digits = []
     for rest in (list(f1), list(f2)):

@@ -120,15 +120,9 @@ class Poly:
             p = self.field.char
             top = pow(cs[-1], n, p) if p else cs[-1] ** n
             return Poly._of(self.field, [self.field.zero] * (len(cs) - 1) * n + [top])
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if not n:
+            return Poly.one(self.field)
+        return Poly._of(self.field, _intpoly.mod_pow(cs, n, self.field.char))
 
     def scale(self, c) -> "Poly":
         c = self.field(c)
@@ -205,9 +199,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def poly_compose(g: Poly, h: Poly) -> Poly:
-    """g(h(x)) by Horner; deg(g o h) = deg g * deg h for nonconstant inputs."""
+    """g(h(x)) by Horner (`_intpoly.mod_compose`); deg(g o h) = deg g * deg h
+    for nonconstant inputs."""
     _same_field(g, h)
-    acc = Poly.zero(g.field)
-    for c in reversed(g.coeffs):
-        acc = acc * h + Poly.constant(g.field, c)
-    return acc
+    return Poly._of(g.field, _intpoly.mod_compose(g.coeffs, h.coeffs, g.field.char))

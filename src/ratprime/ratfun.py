@@ -8,6 +8,7 @@ function has neither a degree nor an order.
 
 from __future__ import annotations
 
+from ._intpoly import mod_forms
 from .errors import FieldMismatchError, PreconditionError
 from .poly import Poly, poly_compose, poly_divmod, poly_exact_div, poly_gcd
 
@@ -129,7 +130,8 @@ def rat_compose(g: RatFun, h: RatFun) -> RatFun:
     """Reduced g(h(x)); degrees multiply for nonconstant inputs.
 
     Both components of g are homogenized with h's numerator and denominator
-    to the same total degree, so no rational intermediates appear.
+    to the same total degree m: each reads the one list of forms h1^i h2^(m-i)
+    (`_intpoly.mod_forms`), so no rational intermediates appear.
     """
     if g.field != h.field:
         raise FieldMismatchError(f"{g.field!r} vs {h.field!r}")
@@ -138,19 +140,11 @@ def rat_compose(g: RatFun, h: RatFun) -> RatFun:
     m = max(g.numerator.degree, g.denominator.degree)
     if m <= 0:
         return RatFun(g.numerator, g.denominator)
-    h1_pow = [Poly.one(g.field)]
-    h2_pow = [Poly.one(g.field)]
-    for _ in range(m):
-        h1_pow.append(h1_pow[-1] * h.numerator)
-        h2_pow.append(h2_pow[-1] * h.denominator)
-    top = Poly.zero(g.field)
-    bottom = Poly.zero(g.field)
-    for i, c in enumerate(g.numerator.coeffs):
-        if c:
-            top = top + (h1_pow[i] * h2_pow[m - i]).scale(c)
-    for j, c in enumerate(g.denominator.coeffs):
-        if c:
-            bottom = bottom + (h1_pow[j] * h2_pow[m - j]).scale(c)
+    field = g.field
+    forms = [Poly._of(field, form) for form in
+             mod_forms(h.numerator.coeffs, h.denominator.coeffs, m, field.char)]
+    top, bottom = (sum((forms[i].scale(c) for i, c in enumerate(part.coeffs) if c),
+                       Poly.zero(field)) for part in (g.numerator, g.denominator))
     if bottom.is_zero:
         raise AssertionError("denominator collapsed for a nonconstant right factor")
     return RatFun(top, bottom)

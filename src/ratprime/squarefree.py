@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from ._intpoly import (_clear, int_exact_div, int_gcd, int_mul, mod_deriv, mod_divmod,
-                       mod_exact_div, mod_gcd, mod_mul, mod_neg, mod_sub, primitive, trim)
+from ._intpoly import (_clear, int_exact_div, int_gcd, mod_deriv, mod_divmod, mod_exact_div,
+                       mod_forms, mod_gcd, mod_mul, mod_neg, mod_pow, mod_sub, primitive, trim)
 from .errors import PreconditionError
 from .poly import Poly
 
@@ -130,17 +130,13 @@ def squarefree_decompose(f: Poly) -> SquarefreeFactorization:
         return SquarefreeFactorization(constant, ())
     p = f.field.char
     if p:
-        g, mul = list(f.monic().coeffs), partial(mod_mul, p=p)
+        g = list(f.monic().coeffs)
     else:
-        g, mul = primitive(_clear(f.coeffs)[0]), int_mul
+        g = primitive(_clear(f.coeffs)[0])
         if g[-1] < 0:
             g = mod_neg(g, 0)
     parts = _decompose(g, p)
-    back = [1]
-    for z, m in parts:
-        for _ in range(m):
-            back = mul(back, z)
-    if back != g:
+    if _multiply_back(parts, p) != g:
         raise AssertionError("squarefree reconstruction failed (internal bug)")
     if not p:
         parts = [([Fraction(c, z[-1]) for c in z], m) for z, m in parts]
@@ -149,16 +145,17 @@ def squarefree_decompose(f: Poly) -> SquarefreeFactorization:
     return SquarefreeFactorization(constant, tuple((Poly._of(f.field, z), m) for z, m in parts))
 
 
+def _multiply_back(parts, p: int) -> list:
+    """prod(z^m) over the (z, m) pairs, one `mod_pow` per part."""
+    back = [1]
+    for z, m in parts:
+        back = mod_mul(back, mod_pow(z, m, p), p)
+    return back
+
+
 def _powmod(a: list[int], e: int, w: list[int], p: int) -> list[int]:
-    """a^e mod w over F_p, by repeated squaring."""
-    out = [1]
-    while e:
-        if e & 1:
-            out = mod_divmod(mod_mul(out, a, p), w, p)[1]
-        e >>= 1
-        if e:
-            a = mod_divmod(mod_mul(a, a, p), w, p)[1]
-    return out
+    """a^e mod w over F_p for a reduced a, by `mod_pow`."""
+    return mod_pow(a, e, p, lambda b: mod_divmod(b, w, p)[1])
 
 
 def _equal_degree(w: list[int], d: int, p: int, rng: random.Random | None = None):
@@ -207,11 +204,7 @@ def irreducible_factors(f: Poly, top: int | None = None) -> list[tuple[tuple[int
         if len(g) > 1:
             found.append((tuple(g), mult))
     found.sort(key=lambda zm: (len(zm[0]), zm[0]))
-    back = [1]
-    for z, mult in found:
-        for _ in range(mult):
-            back = mod_mul(back, list(z), p)
-    if tuple(back) != f.monic().coeffs:
+    if tuple(_multiply_back(found, p)) != f.monic().coeffs:
         raise AssertionError("F_p factorization does not multiply back (internal bug)")
     return found
 
@@ -240,8 +233,6 @@ def divisors(factors: list, degree: int, p: int, tails: list | None = None):
         yield [1]
         return
     (z, m), dz = factors[0], len(factors[0][0]) - 1
-    power = [1]
-    for j in range(min(m, degree // dz) + 1):
+    for j, power in enumerate(mod_forms(z, [1], min(m, degree // dz), p)):
         for w in divisors(factors[1:], degree - j * dz, p, tails[1:]):
             yield mod_mul(power, w, p)
-        power = mod_mul(power, list(z), p)

@@ -70,3 +70,13 @@ def sympy_fraction(c):
 
 def from_sympy(p, poly):
     return Poly(field_of(p), [sympy_fraction(c) for c in reversed(poly.all_coeffs())])
+
+
+def sympy_homogenized(p, g, h):
+    """The numerator and denominator of g o h as sympy Polys, by sympy
+    arithmetic alone: g's components homogenized to degree m = deg g in u and
+    v, for h = u/v.  They may share a factor; they are not reduced."""
+    u, v = (to_sympy(p, c.coeffs) for c in (h.numerator, h.denominator))
+    m = max(g.numerator.degree, g.denominator.degree, 0)
+    return tuple(sum((to_sympy(p, [c]) * u ** i * v ** (m - i) for i, c in enumerate(part.coeffs)),
+                     to_sympy(p, [])) for part in (g.numerator, g.denominator))

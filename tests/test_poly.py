@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+import sympy
+from hypothesis import assume, example, given, strategies as st
 
 from ratprime import _intpoly, squarefree
 from ratprime import (NEG_INF, Poly, PreconditionError, PrimeField, QQ, RatFun,
                       discriminant, poly_compose, poly_divmod, poly_exact_div, poly_gcd,
-                      resultant, squarefree_decompose, sylvester_resultant, valency)
+                      rat_compose, resultant, squarefree_decompose, sylvester_resultant,
+                      valency)
 from conftest import (field_of, fppoly, from_sympy, qpoly, random_poly,
-                      sympy_fraction, to_sympy, untimed)
+                      sympy_fraction, sympy_homogenized, to_sympy, untimed)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +408,9 @@ def test_pow_multiplies_once_per_bit(monkeypatch):
     for n in (0, 1, 2, 5, 8, 13):
         calls.clear()
         assert f ** n == expected[n]
-        # one squaring per bit below the top one, one product per set bit
-        assert len(calls) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+        # one squaring per bit below the top one, one product per further
+        # set bit: never a product by 1
+        assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)
 
 
 def test_monomial_pow_takes_no_products(monkeypatch):
@@ -428,6 +431,107 @@ def test_monomial_pow_takes_no_products(monkeypatch):
     assert calls == []
     assert Poly.zero(QQ) ** 0 == Poly.one(QQ)
     assert Poly.zero(QQ) ** 3 == Poly.zero(QQ)
+
+
+# ---------------------------------------------------------------------------
+# powering and composition (`_intpoly.mod_pow`, `mod_forms`, `mod_compose`)
+# against sympy, through every entry point that uses them, over Q and over
+# small and word-size p
+
+_POW_PRIMES = [0, 2, 3, 101, 2**31 - 1]
+
+
+def _coeff(p):
+    return _Q_COEFF if p == 0 else st.integers(0, p - 1)
+
+
+@st.composite
+def _power_case(draw):
+    p = draw(st.sampled_from(_POW_PRIMES))
+    return p, draw(st.lists(_coeff(p), max_size=5)), draw(st.integers(0, 13))
+
+
+@untimed
+@given(_power_case())
+@example((0, [], 0)).via("the zero polynomial to the 0th")
+@example((3, [], 5)).via("the zero polynomial")
+@example((2**31 - 1, [7], 13)).via("a constant")
+@example((101, [1, 2, 3], 0)).via("n = 0")
+@example((0, [Fraction(1, 2), 3, 1], 1)).via("n = 1")
+def test_pow_matches_sympy(case):
+    p, a, n = case
+    assert Poly(field_of(p), a) ** n == from_sympy(p, to_sympy(p, a) ** n)
+
+
+@st.composite
+def _compose_case(draw):
+    p = draw(st.sampled_from(_POW_PRIMES))
+    coeffs = st.lists(_coeff(p), max_size=5)
+    return p, draw(coeffs), draw(coeffs), draw(_coeff(p))
+
+
+@untimed
+@given(_compose_case())
+@example((0, [], [1, 2], Fraction(1, 3))).via("a zero g")
+@example((101, [5], [1, 2], 7)).via("a constant g")
+@example((3, [1, 2, 1], [], 0)).via("a zero h")
+@example((2**31 - 1, [1, 2, 1], [9], 2**31 - 2)).via("a constant h")
+def test_compose_and_taylor_shift_match_sympy(case):
+    p, g, h, s = case
+    field = field_of(p)
+    gs = to_sympy(p, g)
+    assert poly_compose(Poly(field, g), Poly(field, h)) == from_sympy(p, gs.compose(to_sympy(p, h)))
+    shift = gs.shift(s if p else sympy.Rational(s.numerator, s.denominator))
+    assert Poly(field, g).taylor_shift(s) == from_sympy(p, shift)
+
+
+@st.composite
+def _rat_compose_case(draw):
+    p = draw(st.sampled_from(_POW_PRIMES))
+    coeffs = st.lists(_coeff(p), max_size=4)
+    return p, draw(coeffs), draw(coeffs), draw(coeffs), draw(coeffs)
+
+
+@untimed
+@given(_rat_compose_case())
+@example((0, [Fraction(3, 2)], [1], [1, 1], [0, 1])).via("a constant g")
+@example((101, [1, 2, 3], [4, 5], [0, 1, 1], [1])).via("v = 1")
+@example((3, [1, 1], [2, 0, 1], [1, 0, 1], [2, 1, 1])).via("deg u = deg v")
+@example((2, [0, 1, 1], [1, 1], [1, 0, 1], [1, 1, 0, 1])).via("deg u < deg v")
+def test_rat_compose_matches_sympy(case):
+    # r = g(h) is checked against g(u/v) = A / B, built in sympy: r1 * B = r2 * A
+    p, g1, g2, h1, h2 = case
+    field = field_of(p)
+    assume(any(g2) and any(h2))
+    g = RatFun(Poly(field, g1), Poly(field, g2))
+    h = RatFun(Poly(field, h1), Poly(field, h2))
+    assume(not h.is_constant)
+    r = rat_compose(g, h)
+    a, b = sympy_homogenized(p, g, h)
+    r1, r2 = (to_sympy(p, c.coeffs) for c in (r.numerator, r.denominator))
+    assert r1 * b == r2 * a
+
+
+@st.composite
+def _powmod_case(draw):
+    p = draw(st.sampled_from(_POW_PRIMES))
+    w = draw(st.lists(_coeff(p), min_size=1, max_size=4))
+    lead = draw(_coeff(p).filter(bool))
+    return p, draw(st.lists(_coeff(p), max_size=6)), draw(st.integers(0, 30)), w + [lead]
+
+
+@untimed
+@given(_powmod_case())
+@example((0, [], 3, [1, 1])).via("a zero a")
+@example((101, [5], 0, [1, 0, 1])).via("e = 0")
+@example((2, [1, 1], 1, [1, 1, 1])).via("e = 1")
+def test_powmod_matches_sympy(case):
+    # `_powmod` takes a reduced a, so a is reduced mod w first
+    p, a, e, w = case
+    field, ws = field_of(p), to_sympy(p, w)
+    reduced = to_sympy(p, a).rem(ws)
+    got = squarefree._powmod(list(from_sympy(p, reduced).coeffs), e, w, p)
+    assert Poly(field, got) == from_sympy(p, (reduced ** e).rem(ws))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ def test_valency_certificate_square():
     assert valency_certificate(qpoly(0, 0, 1)) == PrimeByValency(2, 1)
 
 
+def test_valency_certificate_needs_multiplicity_below_p():
+    # over F_3, f = x^2 o (x^4 - x^3) = x^8 + x^7 + x^6 has f' = x^6 (2x + 1):
+    # multiplicity 6 at 0 suggests valency 7 > d = 4, but 6 >= p and the
+    # valency at 0 is 6, a multiple of p
+    f = Poly(PrimeField(3), (0, 0, 0, 0, 0, 0, 1, 1, 1))
+    assert valency_certificate(f) is None
+    assert isinstance(analyze(RatFun(f), OracleBudget()), CompositeWitness)
+
+
 def test_simple_critical_certificate():
     assert simple_critical_certificate(qpoly(0, 1, 0, 0, 1)) \
         == PrimeBySimpleCriticalValues(3, 2)

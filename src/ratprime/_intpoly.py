@@ -47,11 +47,12 @@ work in Z[x]:
   polynomial at integer nodes, and falls back to an exact Fraction
   otherwise.
 
-Powering and composition are written once, for both fields, on `mod_mul`.
-`mod_pow` is the left-to-right binary method (Knuth, TAOCP vol. 2, 4.6.3):
-a squaring for each bit of e below the top one and a product by a for each
-of those bits that is set, never a product by 1; its one hook maps each
-product to what the caller keeps (a remainder mod w, or a truncation).
+Powering and composition are written once, for both fields, on the
+product.  `mod_pow` is the left-to-right binary method (Knuth, TAOCP vol. 2,
+4.6.3): a squaring for each bit of e below the top one and a product by a
+for each of those bits that is set, never a product by 1; its one hook maps
+each product to what the caller keeps (a remainder mod w, or a truncation).
+Over Q it clears a once, powers in Z and divides by d^e at the end.
 `mod_forms` lists the forms u^i v^(m-i) in which a rational g(u/v) of degree
 m is written over v^m.  `mod_compose` is Horner's rule, which holds one
 power of h at a time where the forms would hold all of them.
@@ -60,6 +61,7 @@ power of h at a time where the forms would hold all of them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -462,13 +464,24 @@ def mod_mul(a: list, b: list, p: int) -> list:
 
 def mod_pow(a: list, e: int, p: int, reduce=lambda a: a) -> list:
     """a^e for e >= 0 by the left-to-right binary method, mod p or exactly
-    when p = 0, with `reduce` applied to every product."""
+    when p = 0, with `reduce` applied to every product.  When p = 0, a is
+    cleared once (`_clear`, a = A/d), A^e is formed in Z and divided by d^e
+    at the end, so the result is Fractions, as from `mod_mul`; this needs a
+    `reduce` that commutes with scaling by a constant, which a truncation
+    does (a remainder mod w is taken over F_p only)."""
+    if p:
+        product = partial(mod_mul, p=p)
+    else:
+        product, (a, d) = int_mul, _clear(a)
     out = a if e else [1]
     for bit in bin(e)[3:]:
-        out = reduce(mod_mul(out, out, p))
+        out = reduce(product(out, out))
         if bit == "1":
-            out = reduce(mod_mul(out, a, p))
-    return out
+            out = reduce(product(out, a))
+    if p:
+        return out
+    d **= e
+    return [Fraction(c) for c in out] if d == 1 else [Fraction(c, d) for c in out]
 
 
 def mod_forms(u: list, v: list, m: int, p: int) -> list:

@@ -4,16 +4,21 @@ Every run produces a report with a fixed key set (see report_schema.json);
 inapplicable sections carry nulls so the layout never depends on the input.
 Exit codes: 0 success, 2 expression syntax errors, 3 precondition
 violations.  With --json the report (or the error) is printed as a single
-JSON document; coefficients appear as decimal strings, never floats.
+JSON document; coefficients appear as decimal strings, never floats.  The
+document is written by `_json`, whose text is that of
+`json.dumps(report, indent=2)`: the stdlib skips its C encoder whenever an
+indent is set, and its Python encoder leaves reference cycles behind.  argv
+that names a subcommand goes straight to that subcommand's parser; anything
+else goes to the top-level parser.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import PreconditionError
 from .fields import PrimeField, parse_field
@@ -215,18 +220,20 @@ def _print_text(report: dict, stream) -> None:
         print(f"time: {report['timing_ms']:.1f} ms", file=stream)
 
 
-def build_cli() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="ratprime",
         description="Exact primality analysis of polynomials and rational "
                     "functions under composition.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, helptext in (
             ("analyze", "run the certificate tests (and optionally the oracle)"),
             ("decompose", "run the decomposition oracle only"),
             ("fq", "classify a polynomial function over F_p"),
             ("resultant", "print the discriminant-in-t / critical resultant")):
-        cmd = sub.add_parser(name, help=helptext)
+        cmd = commands[name] = sub.add_parser(name, help=helptext)
         cmd.add_argument("expr", help="expression, e.g. '(x+1)^4/x^3'")
         cmd.add_argument("--field", default="Q", help="Q (default) or F<p>")
         cmd.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -235,12 +242,62 @@ def build_cli() -> argparse.ArgumentParser:
                              help="candidate cap for the decomposition oracle")
         if name == "fq":
             cmd.add_argument("--p", type=int, default=0, help="field size (prime)")
-    return parser
+    return parser, commands
 
 
-# one parser per process: its objects form reference cycles, and a parser per
-# call would leave them to the cyclic collector after every job
-_PARSER = build_cli()
+def build_cli() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+# one parser set per process: its objects form reference cycles, and a parser
+# per call would leave them to the cyclic collector after every job
+_PARSER, _COMMANDS = _build_parsers()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What `_PARSER.parse_args(argv)` returns, by the subcommand's own parser
+    when argv[0] names one (the top-level parser would hand it the rest of
+    argv anyway), with what it leaves unrecognized reported by the top-level
+    parser, as `parse_args` reports it."""
+    if argv is None:
+        argv = sys.argv[1:]
+    cmd = _COMMANDS.get(argv[0]) if argv else None
+    if cmd is None:
+        return _PARSER.parse_args(argv)
+    args, extras = cmd.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _json(value, pad: str = "\n") -> str:
+    """The text `json.dumps(value, indent=2)` gives for a report: dicts with
+    str keys, lists, str, int, finite float, bool and None.  `pad` is the
+    newline and indent that precede the value's closing bracket."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float:
+        return float.__repr__(value)
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + sep.join(items) + pad + "}"
+    if not value:
+        return "[]"
+    return "[" + inner + sep.join([_json(v, inner) for v in value]) + pad + "]"
+
 
 _HANDLERS = {
     "analyze": _cmd_analyze,
@@ -251,7 +308,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     report = _blank_report(args.command)
     report["input"] = args.expr
     start = time.perf_counter()
@@ -269,7 +326,7 @@ def main(argv=None) -> int:
     report["timing_ms"] = (time.perf_counter() - start) * 1000.0
     try:
         if args.json:
-            print(json.dumps(report, indent=2))
+            print(_json(report))
         elif report["error"] is not None:
             print(f"error: {report['error']['message']}", file=sys.stderr)
         else:

@@ -10,6 +10,7 @@ polynomial code never mixes polynomials over distinct fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import index
 
 from .errors import PreconditionError
@@ -55,13 +56,21 @@ class RationalField(Field):
         return "Q"
 
 
+@lru_cache(maxsize=256)
+def _is_prime(p: int) -> bool:
+    """`is_prime(p)`, run once per modulus (of the last 256): every F_p job
+    builds a field, and the Miller-Rabin test of a word-size p takes tens of
+    microseconds."""
+    return is_prime(p)
+
+
 class PrimeField(Field):
     """The field F_p for prime p, with int scalars in [0, p)."""
 
     def __init__(self, p: int):
         if p >= _MR_BOUND:  # above it is_prime falls back to trial division
             raise PreconditionError(f"field modulus must be below {_MR_BOUND}")
-        if not is_prime(p):
+        if not _is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         self.p = p
         self.char = p

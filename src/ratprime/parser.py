@@ -8,16 +8,22 @@ Grammar (no implicit multiplication, '^' takes a natural-number literal):
     base   := 'x' | integer | '(' expr ')'
 
 Integer literals map into the coefficient field (mod p over prime fields).
-Every sub-expression without a division by a nonconstant is evaluated as a
-`Poly`: '+', '-' and '*' are `Poly` operations, a constant factor or a
-constant divisor is a `Poly.scale` (by the field inverse for '/'), and a
-power of a monomial c*x^d is built as c^n*x^(d*n) without products.  Only a
-division by a nonconstant builds a `RatFun`; from then on, an operation with
-a `RatFun` operand lifts both sides to `RatFun`.  `parse_expression` makes
-one `RatFun` of a polynomial result at the end.  A power whose degree
+Evaluation runs on `_intpoly` kernel lists (ascending coefficients): a value
+is a list until a division by a nonconstant makes it a `RatFun`, and from
+then on an operation with a `RatFun` operand lifts both sides to `RatFun`.
+`parse_expression` builds one `RatFun` of a list result at the end.  Over
+F_p a literal is reduced once, and a sum runs on unreduced ints with C-level
+`map(add)`; a parenthesized sum is reduced and trimmed where it becomes a
+factor, so every degree the parser reads (the power cap, the
+constant-operand tests, the division-by-zero test) comes from a reduced,
+trimmed list.  Over Q values stay ints until a division by a constant.  A
+constant factor or a constant divisor is a scaling (by the field inverse for
+'/'), a power of a monomial c*x^d is c^n*x^(d*n) without products, and other
+products and powers are `mod_mul` and `mod_pow`.  A power whose degree
 deg(base)*n exceeds MAX_POWER_DEGREE is a precondition error, raised before
-the power is built.  The printer emits strings inside the same grammar, so
-print-then-parse is the identity.
+the power is built.  Tokens are held as their texts; their positions are
+found again only for an error message.  The printer emits strings inside the
+same grammar, so print-then-parse is the identity.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import add, neg, sub
 
+from ._intpoly import mod_mul, mod_pow
 from .errors import PreconditionError, RatPrimeError
 from .fields import Field
 from .poly import Poly
@@ -38,10 +46,12 @@ class ParseError(RatPrimeError):
         self.position = position
 
 
-# the source splits into decimal literals, whitespace runs and single
-# characters; \d and \s accept exactly what str.isdecimal and str.isspace
-# accept, and a symbol or 'x' is its own token kind
-_TOKEN = re.compile(r"\d+|\s+|\S")
+# a token is a decimal literal or one non-space character; \d and \s accept
+# exactly what str.isdecimal and str.isspace accept, so findall skips exactly
+# the whitespace, and the first character that is neither whitespace, a digit
+# nor a symbol is the first one _BAD finds
+_TOKEN = re.compile(r"\d+|\S")
+_BAD = re.compile(r"[^\s\dx+\-*/^()]")
 _SYMBOLS = frozenset("+-*/^()x")
 
 # the largest degree a power in an expression may have; (x+1)^500, the
@@ -49,115 +59,195 @@ _SYMBOLS = frozenset("+-*/^()x")
 MAX_POWER_DEGREE = 10_000
 
 
+def _scan(source: str) -> list[str]:
+    """The token texts, ending in "" for the end of input."""
+    bad = _BAD.search(source)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    texts = _TOKEN.findall(source)
+    texts.append("")
+    return texts
+
+
+def _positions(source: str) -> list[int]:
+    """The position of each token `_scan` returns, the end's included."""
+    positions = [m.start() for m in _TOKEN.finditer(source)]
+    positions.append(len(source))
+    return positions
+
+
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    for text in _TOKEN.findall(source):
-        if text in _SYMBOLS:
-            tokens.append((text, text, pos))
-        elif text.isdecimal():
-            tokens.append(("int", text, pos))
-        elif not text.isspace():
-            raise ParseError(f"unexpected character {text!r}", pos)
-        pos += len(text)
-    tokens.append(("end", "", len(source)))
-    return tokens
+    """(kind, text, position) of each token: a symbol or 'x' is its own
+    kind, a literal is "int", and the list ends in ("end", "", len(source))."""
+    return [(text if text in _SYMBOLS else "int" if text else "end", text, pos)
+            for text, pos in zip(_scan(source), _positions(source))]
 
 
-class _Parser:
-    def __init__(self, tokens, field: Field):
-        self.tokens = tokens
-        self.pos = 0
+def _add(a: list, b: list) -> list:
+    """a + b, untrimmed, in one of the two lists (the parser owns both)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a[:len(b)] = map(add, a, b)
+    return a
+
+
+def _sub(a: list, b: list) -> list:
+    """a - b, untrimmed, in one of the two lists (the parser owns both)."""
+    if len(a) >= len(b):
+        a[:len(b)] = map(sub, a, b)
+        return a
+    b[len(a):] = map(neg, b[len(a):])
+    b[:len(a)] = map(sub, a, b)
+    return b
+
+
+class _Evaluator:
+    """Recursive descent over the token texts, which are held reversed: the
+    next token is toks[-1], and taking it is toks.pop()."""
+
+    __slots__ = ("source", "toks", "field", "p")
+
+    def __init__(self, source: str, field: Field):
+        self.source = source
+        self.toks = _scan(source)[::-1]
         self.field = field
+        self.p = field.char
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message: str, left: int = 0) -> ParseError:
+        """A ParseError at the token that had `left` tokens from it to the
+        end of input, by default the next token."""
+        positions = _positions(self.source)
+        return ParseError(message, positions[len(positions) - (left or len(self.toks))])
 
-    def take(self, kind: str):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
-                             tok[2])
-        self.pos += 1
-        return tok
+    def expect(self, text: str) -> None:
+        """Take the next token, which must be `text` ("" for the end)."""
+        tok = self.toks[-1]
+        if tok != text:
+            raise self.error(f"expected {text or 'end'!r}, found {tok or 'end of input'!r}")
+        self.toks.pop()
 
-    @staticmethod
-    def natural(tok) -> int:
-        """An integer token's value; past int()'s digit limit, a parse error."""
+    def natural(self) -> int:
+        """The next token's value, taken; past int()'s digit limit, a parse error."""
+        tok = self.toks[-1]
         try:
-            return int(tok[1])
+            value = int(tok)
         except ValueError:
-            raise ParseError(f"literal of {len(tok[1])} digits is too long", tok[2]) from None
-
-    def expr(self) -> Poly | RatFun:
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])
-            rhs = self.term()
-            if isinstance(value, RatFun) or isinstance(rhs, RatFun):
-                value, rhs = _lift(value), _lift(rhs)
-            value = value + rhs if op[0] == "+" else value - rhs
+            raise self.error(f"literal of {len(tok)} digits is too long") from None
+        self.toks.pop()
         return value
 
-    def term(self) -> Poly | RatFun:
+    def norm(self, value):
+        """A list reduced mod p and trimmed; a RatFun as it is."""
+        if type(value) is list:
+            p = self.p
+            if p:
+                value = [c % p for c in value]
+            while value and not value[-1]:
+                value.pop()
+        return value
+
+    def lift(self, value) -> RatFun:
+        return value if type(value) is not list else RatFun(self.poly(value))
+
+    def poly(self, value: list) -> Poly:
+        value = self.norm(value)
+        if not self.p:
+            value = [c if type(c) is Fraction else Fraction(c) for c in value]
+        return Poly._of(self.field, value)
+
+    def scale(self, value: list, c) -> list:
+        """c * value for a reduced, trimmed value and a nonzero scalar c."""
+        p = self.p
+        if value.count(0) == len(value) - 1:  # a monomial: one product, in place
+            value[-1] = value[-1] * c % p if p else value[-1] * c
+            return value
+        return [a * c % p for a in value] if p else [a * c if a else a for a in value]
+
+    def expr(self):
+        toks = self.toks
+        value = self.term()
+        while toks[-1] == "+" or toks[-1] == "-":
+            minus = toks.pop() == "-"
+            rhs = self.term()
+            if type(value) is list and type(rhs) is list:
+                value = _sub(value, rhs) if minus else _add(value, rhs)
+            else:
+                value, rhs = self.lift(value), self.lift(rhs)
+                value = value - rhs if minus else value + rhs
+        return value
+
+    def term(self):
+        toks, p = self.toks, self.p
         value = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take(self.peek()[0])
+        while toks[-1] == "*" or toks[-1] == "/":
+            left = len(toks)
+            divide = toks.pop() == "/"
             rhs = self.factor()
-            divide = op[0] == "/"
-            if divide and rhs.is_zero:
-                raise ParseError("division by the zero polynomial", op[2])
-            if isinstance(value, RatFun) or isinstance(rhs, RatFun):
-                value, rhs = _lift(value), _lift(rhs)
+            if divide and (not rhs if type(rhs) is list else rhs.is_zero):
+                raise self.error("division by the zero polynomial", left)
+            if type(value) is not list or type(rhs) is not list:
+                value, rhs = self.lift(value), self.lift(rhs)
                 value = value / rhs if divide else value * rhs
             elif divide:
-                value = (RatFun(value, rhs) if rhs.degree > 0 else
-                         value.scale(self.field.div(self.field.one, rhs.coeffs[0])))
-            elif value.degree <= 0:
-                value = rhs.scale(value.coeff(0))
-            elif rhs.degree <= 0:
-                value = value.scale(rhs.coeff(0))
+                if len(rhs) > 1:
+                    value = RatFun(self.poly(value), self.poly(rhs))
+                elif value:
+                    value = self.scale(value, pow(rhs[0], -1, p) if p else 1 / Fraction(rhs[0]))
+            elif len(value) <= 1:
+                value = self.scale(rhs, value[0]) if value else value
+            elif len(rhs) <= 1:
+                value = self.scale(value, rhs[0]) if rhs else rhs
             else:
-                value = value * rhs
+                value = mod_mul(value, rhs, p)
         return value
 
-    def factor(self) -> Poly | RatFun:
-        value = self.base()
-        if self.peek()[0] == "^":
-            self.take("^")
-            n = self.natural(self.take("int"))
-            degree = 0 if value.is_zero else value.degree
-            if degree * n > MAX_POWER_DEGREE:
-                raise PreconditionError(f"a power of degree {degree * n} exceeds the "
-                                        f"bound {MAX_POWER_DEGREE} on a power's degree")
-            value = value ** n
-        return value
-
-    def base(self) -> Poly | RatFun:
-        tok = self.peek()
-        if tok[0] == "x":
-            self.take("x")
-            return Poly.x(self.field)
-        if tok[0] == "int":
-            return Poly.constant(self.field, self.natural(self.take("int")))
-        if tok[0] == "(":
-            self.take("(")
-            value = self.expr()
-            self.take(")")
+    def factor(self):
+        """A base and its power; a list value comes back reduced and trimmed."""
+        toks = self.toks
+        tok = toks[-1]
+        if tok == "x":
+            toks.pop()
+            value = [0, 1]
+        elif tok == "(":
+            toks.pop()
+            value = self.norm(self.expr())
+            self.expect(")")
+        elif tok.isdecimal():
+            p = self.p
+            value = self.natural() % p if p else self.natural()
+            value = [value] if value else []
+        else:
+            raise self.error(f"expected 'x', an integer or '(', found "
+                             f"{tok or 'end of input'!r}")
+        if toks[-1] != "^":
             return value
-        raise ParseError(f"expected 'x', an integer or '(', found "
-                         f"{tok[1] or 'end of input'!r}", tok[2])
-
-
-def _lift(value: Poly | RatFun) -> RatFun:
-    return value if isinstance(value, RatFun) else RatFun(value)
+        toks.pop()
+        tok = toks[-1]
+        if not tok.isdecimal():
+            raise self.error(f"expected 'int', found {tok or 'end of input'!r}")
+        n = self.natural()
+        if type(value) is not list:
+            degree = 0 if value.is_zero else value.degree
+        else:
+            degree = len(value) - 1 if value else 0
+        if degree * n > MAX_POWER_DEGREE:
+            raise PreconditionError(f"a power of degree {degree * n} exceeds the "
+                                    f"bound {MAX_POWER_DEGREE} on a power's degree")
+        if type(value) is not list:
+            return value ** n
+        if not n:
+            return [1]
+        if value and not any(value[:-1]):  # c*x^d: c^n*x^(d*n), no products
+            p = self.p
+            return [0] * (degree * n) + [pow(value[-1], n, p) if p else value[-1] ** n]
+        return mod_pow(value, n, self.p) if value else value
 
 
 def parse_expression(source: str, field: Field) -> RatFun:
-    parser = _Parser(_tokenize(source), field)
-    value = parser.expr()
-    parser.take("end")
-    return _lift(value)
+    evaluator = _Evaluator(source, field)
+    value = evaluator.expr()
+    evaluator.expect("")
+    return evaluator.lift(value)
 
 
 # ---------------------------------------------------------------------------

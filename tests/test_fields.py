@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from ratprime import Poly, PreconditionError, PrimeField, QQ, parse_field
+from ratprime import Poly, PreconditionError, PrimeField, QQ, fields, parse_field
 from ratprime.errors import FieldMismatchError
+from ratprime.numutil import is_prime
 
 
 def test_prime_field_rejects_composite():
@@ -82,3 +83,20 @@ def test_prime_field_rejects_moduli_above_the_primality_bound():
     with pytest.raises(PreconditionError, match="3317044064679887385961981"):
         parse_field("F" + "7" * 5000)
     assert parse_field("F000005") == PrimeField(5)
+
+
+def test_prime_field_tests_each_modulus_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fields, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    fields._is_prime.cache_clear()
+    assert PrimeField(2**31 - 1) == PrimeField(2**31 - 1)
+    assert calls == [2**31 - 1]
+    # the verdict is cached, the error is raised on every call
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="4 is not prime"):
+            PrimeField(4)
+    assert calls == [2**31 - 1, 4]
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="3317044064679887385961981"):
+            PrimeField(2**89 - 1)
+    assert calls == [2**31 - 1, 4]

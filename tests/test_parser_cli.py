@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -9,14 +12,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ratprime import (ParseError, Poly, PreconditionError, PrimeField, QQ, RatFun,
                       format_poly, format_ratfun, parse_expression)
 import ratprime
 from ratprime import resultants
+from ratprime import cli
 from ratprime.cli import main
-from ratprime.parser import MAX_POWER_DEGREE, _Parser, _tokenize
+from ratprime.parser import MAX_POWER_DEGREE, _tokenize
 from conftest import field_of, qpoly, random_poly, random_ratfun, untimed
 
 
@@ -95,6 +99,17 @@ def test_parse_power_degree_cap():
         RatFun.constant(PrimeField(7), pow(3, MAX_POWER_DEGREE + 1, 7))
 
 
+def test_power_cap_reads_the_reduced_degree():
+    # over F_5 the base's x^3 terms cancel, so the power has degree 10 000;
+    # a degree read off the unreduced sum would be 15 000, past the cap
+    source = "(3*x^3+2*x^3+x^2)^5000"
+    f = parse_expression(source, PrimeField(5))
+    assert f.degree == MAX_POWER_DEGREE
+    assert f == RatFun(Poly(PrimeField(5), [0] * MAX_POWER_DEGREE + [1]))
+    with pytest.raises(PreconditionError, match="degree 15000"):
+        parse_expression(source, QQ)
+
+
 def test_parse_polynomial_literal_takes_no_products(monkeypatch, rng):
     # the corpus form 6*x^28-2*x^27+...: scalings, monomial powers and sums
     # only, and one RatFun at the end
@@ -111,10 +126,33 @@ def test_parse_polynomial_literal_takes_no_products(monkeypatch, rng):
     assert products == [] and len(built) == 1
 
 
-class _RatFunParser(_Parser):
-    """The evaluator the `Poly` route replaced, kept as the reference: every
-    sub-expression is a `RatFun`.  A power is a product of n factors, so the
-    reference shares no code with `Poly.__pow__` either."""
+class _RatFunParser:
+    """The reference evaluator: every sub-expression is a `RatFun`, on the
+    tokens of `_tokenize`.  A power is a product of n factors, so the
+    reference shares no code with the parser's powers either."""
+
+    def __init__(self, tokens, field):
+        self.tokens = tokens
+        self.pos = 0
+        self.field = field
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                             tok[2])
+        self.pos += 1
+        return tok
+
+    @staticmethod
+    def natural(tok):
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ParseError(f"literal of {len(tok[1])} digits is too long", tok[2]) from None
 
     def expr(self):
         value = self.term()
@@ -632,3 +670,105 @@ def test_closed_stdout_pipe_keeps_exit_code(argv, code):
         os.close(write_end)
     assert proc.returncode == code
     assert proc.stderr == b""
+
+
+# ---------------------------------------------------------------------------
+# the report writer and the argv dispatch
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _smoke_reports():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import corpus
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for workload in corpus.WORKLOADS:
+        for job in corpus.build(workload, 0, smoke=True):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(job.argv)
+            yield out.getvalue()
+
+
+def test_report_text_is_that_of_json_dumps_on_the_smoke_corpus():
+    # text == dumps(loads(text)) holds only for the very text json.dumps
+    # writes; the digest test pins what the reports say
+    texts = list(_smoke_reports())
+    assert texts
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_JSON_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600"])
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
+    | st.floats(allow_nan=False, allow_infinity=False) | _JSON_TEXT,
+    lambda sub: st.lists(sub, max_size=4) | st.dictionaries(_JSON_TEXT, sub, max_size=4),
+    max_leaves=24)
+
+
+@given(value=_JSON_VALUE)
+@example(value={}).via("an empty dict")
+@example(value=[]).via("an empty list")
+@example(value={"a": {}, "b": [[], {"c": None}], "\u00e9\n": [True, False, -0.0, 10**80]})
+def test_report_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_cli_json_leaves_no_cyclic_garbage(capsys):
+    # json.dumps with an indent runs the stdlib's Python encoder, whose
+    # closures leave 33 objects of cyclic garbage per report
+    _run(capsys, "analyze", "--json", "x^4+x")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            assert _run(capsys, "analyze", "--json", "x^4+x")[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_ARGVS = [
+    ["analyze", "x^4+x"],
+    ["analyze", "--field", "F5", "--json", "--oracle-budget", "7", "x^4+x"],
+    ["decompose", "x^4", "--field=F5", "--oracle-b", "5", "--js"],
+    ["decompose", "--oracle-budget=3", "x^4"],
+    ["fq", "x^2", "--p", "3", "--field", "F3", "--json"],
+    ["fq", "--p=7", "x"],
+    ["resultant", "--json", "--field", "Q", "x^3+x"],
+    ["-h"],
+    ["analyze", "-h"],
+    ["fq", "x", "--help"],
+    [],
+    ["bogus", "x"],
+    ["analyze"],
+    ["analyze", "x", "y"],
+    ["analyze", "x", "y", "--zap", "z"],
+    ["analyze", "x", "--p", "5"],
+    ["resultant", "x", "--oracle-budget", "5"],
+    ["fq", "x", "--p", "abc"],
+    ["analyze", "x", "--oracle-budget"],
+    ["analyze", "--field"],
+    ["--", "analyze", "x"],
+    ["analyze", "--", "-x"],
+    ["analyze", "-x"],
+    ["analyze", "x", "--", "--json"],
+]
+
+
+def _argv_outcome(parse, argv, capsys):
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return "exit", exc.code, out.out, out.err
+    return "parsed", args, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
+def test_argv_dispatch_matches_argparse(capsys, argv):
+    assert (_argv_outcome(cli._parse_args, list(argv), capsys)
+            == _argv_outcome(cli._PARSER.parse_args, list(argv), capsys))

@@ -401,10 +401,10 @@ def test_pow_multiplies_once_per_bit(monkeypatch):
     expected = [Poly.one(QQ)]
     for _ in range(13):
         expected.append(expected[-1] * f)
+    # every product of the kernel, in both fields, is one `int_mul`
     calls = []
-    mod_mul = _intpoly.mod_mul
-    monkeypatch.setattr(_intpoly, "mod_mul",
-                        lambda a, b, p: calls.append(p) or mod_mul(a, b, p))
+    int_mul = _intpoly.int_mul
+    monkeypatch.setattr(_intpoly, "int_mul", lambda a, b: calls.append(1) or int_mul(a, b))
     for n in (0, 1, 2, 5, 8, 13):
         calls.clear()
         assert f ** n == expected[n]
@@ -422,10 +422,10 @@ def test_monomial_pow_takes_no_products(monkeypatch):
         for _ in range(6):
             powers.append(powers[-1] * f)
         expected.append(powers)
+    # every product of the kernel, in both fields, is one `int_mul`
     calls = []
-    mod_mul = _intpoly.mod_mul
-    monkeypatch.setattr(_intpoly, "mod_mul",
-                        lambda a, b, p: calls.append(p) or mod_mul(a, b, p))
+    int_mul = _intpoly.int_mul
+    monkeypatch.setattr(_intpoly, "int_mul", lambda a, b: calls.append(1) or int_mul(a, b))
     for f, powers in zip(monomials, expected):
         assert [f ** n for n in range(7)] == powers
     assert calls == []
@@ -461,6 +461,22 @@ def _power_case(draw):
 def test_pow_matches_sympy(case):
     p, a, n = case
     assert Poly(field_of(p), a) ** n == from_sympy(p, to_sympy(p, a) ** n)
+
+
+@untimed
+@given(a=st.lists(st.fractions(-9, 9, max_denominator=9), min_size=1, max_size=5),
+       e=st.integers(0, 13), keep=st.integers(1, 8))
+@example(a=[Fraction(1, 7), Fraction(1, 3)], e=13, keep=3).via("denominators to the e-th")
+@example(a=[Fraction(2, 3)], e=0, keep=1).via("e = 0")
+def test_mod_pow_over_q_matches_sympy_under_truncation(a, e, keep):
+    # over Q, mod_pow clears a once and powers in Z; a truncation after
+    # `keep` terms commutes with that scaling, so every truncated product
+    # leaves the truncated power
+    got = _intpoly.mod_pow(a, e, 0, lambda b: b[:keep])
+    assert all(type(c) is Fraction for c in got)
+    want = [sympy_fraction(c) for c in reversed((to_sympy(0, a) ** e).all_coeffs())]
+    pad = [0] * keep
+    assert (got + pad)[:keep] == (want + pad)[:keep]
 
 
 @st.composite

@@ -11,8 +11,11 @@ in whole passes: one untimed pass per side first, whose reports (without
 `timing_ms`) are compared, then ROUNDS timed rounds of one pass per side,
 alternating which side runs first.  It prints jobs/s per round for each
 side, the medians, the median of the per-round change/parent ratios, how
-many rounds the change won, and whether every report is identical.  Nothing
-is written under perfbench/ or the checkouts.
+many rounds the change won, and whether every report is identical.  It also
+prints, for each side, job_ms_p50 and job_ms_p90 as perfbench/run.py defines
+them (across inputs, of each input's mean ms over the timed rounds), and the
+change/parent ratio of each.  Nothing is written under perfbench/ or the
+checkouts.
 
 Both sides share one interpreter and the host's drift between them, so the
 ratio is steadier than that of two benchmark processes run one after the
@@ -50,15 +53,18 @@ def load(checkout: str, name: str, into: Path):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_pass(cli, argvs) -> tuple[float, list]:
-    """(wall seconds, [(exit code, report without timing_ms)]) of one pass."""
-    reports = []
+def run_pass(cli, argvs) -> tuple[float, list, list]:
+    """(wall seconds, [(exit code, report without timing_ms)], [ms per job])
+    of one pass."""
+    reports, job_ms = [], []
     gc.collect()
     start = time.perf_counter()
     for argv in argvs:
         out = io.StringIO()
+        begin = time.perf_counter()
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
+        job_ms.append((time.perf_counter() - begin) * 1000)
         reports.append((code, out.getvalue()))
     seconds = time.perf_counter() - start
     normalised = []
@@ -66,7 +72,14 @@ def run_pass(cli, argvs) -> tuple[float, list]:
         report = json.loads(text)
         del report["timing_ms"]
         normalised.append((code, report))
-    return seconds, normalised
+    return seconds, normalised, job_ms
+
+
+def job_quantiles(rounds: list) -> tuple[float, float]:
+    """(p50, p90) across inputs of each input's mean ms over the rounds, as
+    perfbench/run.py computes job_ms_p50 and job_ms_p90."""
+    per_input = [statistics.fmean(ms) for ms in zip(*rounds)]
+    return statistics.median(per_input), statistics.quantiles(per_input, n=10)[-1]
 
 
 def main(argv=None) -> int:
@@ -93,11 +106,13 @@ def main(argv=None) -> int:
                 for side, path in zip(SIDES, (args.parent, args.change))}
         first = {side: run_pass(clis[side], argvs)[1] for side in SIDES}
         rates = {side: [] for side in SIDES}
+        job_ms = {side: [] for side in SIDES}  # one list of per-job ms per round
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             for side in order:
-                seconds, _ = run_pass(clis[side], argvs)
+                seconds, _, ms = run_pass(clis[side], argvs)
                 rates[side].append(len(argvs) / seconds)
+                job_ms[side].append(ms)
             print(f"round {r + 1} ({order[0]} first): "
                   + "  ".join(f"{side} {rates[side][-1]:.1f}" for side in SIDES)
                   + " jobs/s")
@@ -111,6 +126,11 @@ def main(argv=None) -> int:
           f"  ({medians['change'] / medians['parent'] - 1:+.1%})")
     print(f"median per-round change/parent: {paired:.3f} ({paired - 1:+.1%})")
     print(f"change wins {wins} of {args.rounds} rounds")
+    quantiles = {side: job_quantiles(job_ms[side]) for side in SIDES}
+    for k, name in enumerate(("job_ms_p50", "job_ms_p90")):
+        parent, change = quantiles["parent"][k], quantiles["change"][k]
+        print(f"{name}: parent {parent:.3f}  change {change:.3f}"
+              f"  change/parent {change / parent:.3f} ({change / parent - 1:+.1%})")
     print("reports identical: yes" if not same else
           f"reports identical: no, jobs {same[:20]}{' ...' if len(same) > 20 else ''}")
     return 0

@@ -52,7 +52,10 @@ product.  `mod_pow` is the left-to-right binary method (Knuth, TAOCP vol. 2,
 4.6.3): a squaring for each bit of e below the top one and a product by a
 for each of those bits that is set, never a product by 1; its one hook maps
 each product to what the caller keeps (a remainder mod w, or a truncation).
-Over Q it clears a once, powers in Z and divides by d^e at the end.
+Without the hook a monomial c*x^d is the one shortcut, c^e*x^(d*e) with no
+products; under it there is none, so x^p mod w over a word-size p is never
+built densely.  Over Q it clears a once, powers in Z and divides by d^e at
+the end.
 `mod_forms` lists the forms u^i v^(m-i) in which a rational g(u/v) of degree
 m is written over v^m.  `mod_compose` is Horner's rule, which holds one
 power of h at a time where the forms would hold all of them.
@@ -462,13 +465,19 @@ def mod_mul(a: list, b: list, p: int) -> list:
     return [Fraction(c) for c in out] if d == 1 else [Fraction(c, d) for c in out]
 
 
-def mod_pow(a: list, e: int, p: int, reduce=lambda a: a) -> list:
+def mod_pow(a: list, e: int, p: int, reduce=None) -> list:
     """a^e for e >= 0 by the left-to-right binary method, mod p or exactly
-    when p = 0, with `reduce` applied to every product.  When p = 0, a is
-    cleared once (`_clear`, a = A/d), A^e is formed in Z and divided by d^e
-    at the end, so the result is Fractions, as from `mod_mul`; this needs a
-    `reduce` that commutes with scaling by a constant, which a truncation
-    does (a remainder mod w is taken over F_p only)."""
+    when p = 0, with `reduce`, if given, applied to every product.  Without
+    `reduce`, a monomial a = c*x^d gives c^e*x^(d*e) with no products, in
+    entries of a's type.  When p = 0, a is otherwise cleared once (`_clear`,
+    a = A/d), A^e is formed in Z and divided by d^e at the end, so the
+    result is Fractions, as from `mod_mul`; this needs a `reduce` that
+    commutes with scaling by a constant, which a truncation does (a
+    remainder mod w is taken over F_p only)."""
+    if reduce is None:
+        if a and not any(a[:-1]):  # c*x^d; a[0] is a zero entry when d > 0
+            return [a[0]] * ((len(a) - 1) * e) + [pow(a[-1], e, p) if p else a[-1] ** e]
+        reduce = lambda b: b
     if p:
         product = partial(mod_mul, p=p)
     else:

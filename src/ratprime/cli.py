@@ -151,6 +151,9 @@ def _cmd_decompose(args, report: dict) -> int:
 def _cmd_fq(args, report: dict) -> int:
     if args.p:
         field = PrimeField(args.p)
+        if args.field != "Q" and parse_field(args.field) != field:
+            raise PreconditionError(f"--field {args.field} and --p {args.p} name "
+                                    f"different fields")
     elif args.field != "Q":
         field = parse_field(args.field)
     else:
@@ -243,10 +246,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
         if name == "fq":
             cmd.add_argument("--p", type=int, default=0, help="field size (prime)")
     return parser, commands
-
-
-def build_cli() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
 
 
 # one parser set per process: its objects form reference cycles, and a parser

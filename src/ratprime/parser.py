@@ -11,19 +11,20 @@ Integer literals map into the coefficient field (mod p over prime fields).
 Evaluation runs on `_intpoly` kernel lists (ascending coefficients): a value
 is a list until a division by a nonconstant makes it a `RatFun`, and from
 then on an operation with a `RatFun` operand lifts both sides to `RatFun`.
-`parse_expression` builds one `RatFun` of a list result at the end.  Over
-F_p a literal is reduced once, and a sum runs on unreduced ints with C-level
-`map(add)`; a parenthesized sum is reduced and trimmed where it becomes a
-factor, so every degree the parser reads (the power cap, the
-constant-operand tests, the division-by-zero test) comes from a reduced,
-trimmed list.  Over Q values stay ints until a division by a constant.  A
-constant factor or a constant divisor is a scaling (by the field inverse for
-'/'), a power of a monomial c*x^d is c^n*x^(d*n) without products, and other
-products and powers are `mod_mul` and `mod_pow`.  A power whose degree
-deg(base)*n exceeds MAX_POWER_DEGREE is a precondition error, raised before
-the power is built.  Tokens are held as their texts; their positions are
-found again only for an error message.  The printer emits strings inside the
-same grammar, so print-then-parse is the identity.
+`parse_expression` builds one `RatFun` of a list result at the end.  Every
+list value is reduced mod p and trimmed: a literal is reduced once, x is
+[0, 1], sums are `mod_add` and `mod_sub`, products `mod_mul` and powers
+`mod_pow` (a power of a monomial c*x^d is c^n*x^(d*n) there, without
+products), and a constant factor or a constant divisor is a scaling by a
+nonzero scalar (by the field inverse for '/').  So every degree the parser
+reads (the power cap, the constant-operand tests, the division-by-zero
+test) is read off a list as it is.  Over Q entries stay ints until a
+division by a constant, a product of nonconstants or a power of a
+nonmonomial makes them Fractions.  A power whose degree deg(base)*n exceeds
+MAX_POWER_DEGREE is a precondition error, raised before the power is built.
+Tokens are held as their texts; their positions are found again only for an
+error message.  The printer emits strings inside the same grammar, so
+print-then-parse is the identity.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from operator import add, neg, sub
 
-from ._intpoly import mod_mul, mod_pow
+from ._intpoly import mod_add, mod_mul, mod_pow, mod_sub
 from .errors import PreconditionError, RatPrimeError
 from .fields import Field
 from .poly import Poly
@@ -52,7 +52,6 @@ class ParseError(RatPrimeError):
 # nor a symbol is the first one _BAD finds
 _TOKEN = re.compile(r"\d+|\S")
 _BAD = re.compile(r"[^\s\dx+\-*/^()]")
-_SYMBOLS = frozenset("+-*/^()x")
 
 # the largest degree a power in an expression may have; (x+1)^500, the
 # largest power in use, stays far below it
@@ -74,31 +73,6 @@ def _positions(source: str) -> list[int]:
     positions = [m.start() for m in _TOKEN.finditer(source)]
     positions.append(len(source))
     return positions
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) of each token: a symbol or 'x' is its own
-    kind, a literal is "int", and the list ends in ("end", "", len(source))."""
-    return [(text if text in _SYMBOLS else "int" if text else "end", text, pos)
-            for text, pos in zip(_scan(source), _positions(source))]
-
-
-def _add(a: list, b: list) -> list:
-    """a + b, untrimmed, in one of the two lists (the parser owns both)."""
-    if len(a) < len(b):
-        a, b = b, a
-    a[:len(b)] = map(add, a, b)
-    return a
-
-
-def _sub(a: list, b: list) -> list:
-    """a - b, untrimmed, in one of the two lists (the parser owns both)."""
-    if len(a) >= len(b):
-        a[:len(b)] = map(sub, a, b)
-        return a
-    b[len(a):] = map(neg, b[len(a):])
-    b[:len(a)] = map(sub, a, b)
-    return b
 
 
 class _Evaluator:
@@ -136,21 +110,10 @@ class _Evaluator:
         self.toks.pop()
         return value
 
-    def norm(self, value):
-        """A list reduced mod p and trimmed; a RatFun as it is."""
-        if type(value) is list:
-            p = self.p
-            if p:
-                value = [c % p for c in value]
-            while value and not value[-1]:
-                value.pop()
-        return value
-
     def lift(self, value) -> RatFun:
         return value if type(value) is not list else RatFun(self.poly(value))
 
     def poly(self, value: list) -> Poly:
-        value = self.norm(value)
         if not self.p:
             value = [c if type(c) is Fraction else Fraction(c) for c in value]
         return Poly._of(self.field, value)
@@ -170,7 +133,7 @@ class _Evaluator:
             minus = toks.pop() == "-"
             rhs = self.term()
             if type(value) is list and type(rhs) is list:
-                value = _sub(value, rhs) if minus else _add(value, rhs)
+                value = mod_sub(value, rhs, self.p) if minus else mod_add(value, rhs, self.p)
             else:
                 value, rhs = self.lift(value), self.lift(rhs)
                 value = value - rhs if minus else value + rhs
@@ -202,7 +165,7 @@ class _Evaluator:
         return value
 
     def factor(self):
-        """A base and its power; a list value comes back reduced and trimmed."""
+        """A base and its power."""
         toks = self.toks
         tok = toks[-1]
         if tok == "x":
@@ -210,7 +173,7 @@ class _Evaluator:
             value = [0, 1]
         elif tok == "(":
             toks.pop()
-            value = self.norm(self.expr())
+            value = self.expr()
             self.expect(")")
         elif tok.isdecimal():
             p = self.p
@@ -235,12 +198,7 @@ class _Evaluator:
                                     f"bound {MAX_POWER_DEGREE} on a power's degree")
         if type(value) is not list:
             return value ** n
-        if not n:
-            return [1]
-        if value and not any(value[:-1]):  # c*x^d: c^n*x^(d*n), no products
-            p = self.p
-            return [0] * (degree * n) + [pow(value[-1], n, p) if p else value[-1] ** n]
-        return mod_pow(value, n, self.p) if value else value
+        return mod_pow(value, n, self.p)
 
 
 def parse_expression(source: str, field: Field) -> RatFun:

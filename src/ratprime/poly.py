@@ -115,14 +115,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise PreconditionError("negative polynomial power")
-        cs = self.coeffs
-        if cs and not any(cs[:-1]):  # c*x^d: c^n*x^(d*n), no products
-            p = self.field.char
-            top = pow(cs[-1], n, p) if p else cs[-1] ** n
-            return Poly._of(self.field, [self.field.zero] * (len(cs) - 1) * n + [top])
-        if not n:
-            return Poly.one(self.field)
-        return Poly._of(self.field, _intpoly.mod_pow(cs, n, self.field.char))
+        return Poly._of(self.field, _intpoly.mod_pow(self.coeffs, n, self.field.char))
 
     def scale(self, c) -> "Poly":
         c = self.field(c)

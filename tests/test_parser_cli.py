@@ -20,7 +20,8 @@ import ratprime
 from ratprime import resultants
 from ratprime import cli
 from ratprime.cli import main
-from ratprime.parser import MAX_POWER_DEGREE, _tokenize
+from ratprime import _intpoly
+from ratprime.parser import MAX_POWER_DEGREE, _positions, _scan
 from conftest import field_of, qpoly, random_poly, random_ratfun, untimed
 
 
@@ -117,19 +118,21 @@ def test_parse_polynomial_literal_takes_no_products(monkeypatch, rng):
     source = format_poly(f)
     assert source.startswith(("x^28", "2*x^28", "6*x^28"))
     expected = RatFun(f)
-    products, built = [], []
-    mul, init = Poly.__mul__, RatFun.__init__
+    products, kernel_products, built = [], [], []
+    mul, int_mul, init = Poly.__mul__, _intpoly.int_mul, RatFun.__init__
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(_intpoly, "int_mul",
+                        lambda a, b: kernel_products.append(1) or int_mul(a, b))
     monkeypatch.setattr(RatFun, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
     assert parse_expression(source, QQ) == expected
-    assert products == [] and len(built) == 1
+    assert products == [] and kernel_products == [] and len(built) == 1
 
 
 class _RatFunParser:
     """The reference evaluator: every sub-expression is a `RatFun`, on the
-    tokens of `_tokenize`.  A power is a product of n factors, so the
-    reference shares no code with the parser's powers either."""
+    tokens of `_reference_tokenize`.  A power is a product of n factors, so
+    the reference shares no code with the parser's powers either."""
 
     def __init__(self, tokens, field):
         self.tokens = tokens
@@ -202,7 +205,7 @@ class _RatFunParser:
 
 
 def _reference_parse(source, field):
-    parser = _RatFunParser(_tokenize(source), field)
+    parser = _RatFunParser(_reference_tokenize(source), field)
     value = parser.expr()
     parser.take("end")
     return value
@@ -281,6 +284,14 @@ def _reference_tokenize(source):
         raise ParseError(f"unexpected character {c!r}", i)
     tokens.append(("end", "", len(source)))
     return tokens
+
+
+def _tokenize(source):
+    """(kind, text, position) of each token of the parser's `_scan` and
+    `_positions`, with the reference's kinds: the end is "end", a literal
+    is "int", and a symbol or 'x' is its own kind."""
+    return [("end" if not text else "int" if text.isdecimal() else text, text, pos)
+            for text, pos in zip(_scan(source), _positions(source))]
 
 
 def _tokens(source, tokenize):
@@ -554,6 +565,18 @@ def test_cli_decompose_rational_over_prime_field(capsys, schema):
     jsonschema.validate(report, schema)
     assert report["oracle"]["status"] == "witness"
     assert report["verdict"]["witness_g"] is not None
+
+
+def test_cli_fq_rejects_conflicting_field_flags(capsys, schema):
+    code, report = _run_json(capsys, "fq", "--p", "3", "--field", "F5", "x^2")
+    assert code == 3
+    jsonschema.validate(report, schema)
+    assert report["error"]["kind"] == "precondition-violation"
+    assert "--field F5" in report["error"]["message"]
+    assert "--p 3" in report["error"]["message"]
+    # flags that agree name one field
+    code, report = _run_json(capsys, "fq", "--p", "3", "--field", "F3", "x^2")
+    assert code == 0 and report["field"] == "F3"
 
 
 def test_cli_fq_rejects_rational_functions(capsys, schema):

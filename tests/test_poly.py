@@ -458,6 +458,9 @@ def _power_case(draw):
 @example((2**31 - 1, [7], 13)).via("a constant")
 @example((101, [1, 2, 3], 0)).via("n = 0")
 @example((0, [Fraction(1, 2), 3, 1], 1)).via("n = 1")
+@example((0, [0, 0, Fraction(-2, 3)], 13)).via("a monomial over Q")
+@example((2**31 - 1, [0, 0, 0, 5], 13)).via("a monomial over a word-size F_p")
+@example((0, [0, 1], 0)).via("x to the 0th")
 def test_pow_matches_sympy(case):
     p, a, n = case
     assert Poly(field_of(p), a) ** n == from_sympy(p, to_sympy(p, a) ** n)
@@ -541,6 +544,7 @@ def _powmod_case(draw):
 @example((0, [], 3, [1, 1])).via("a zero a")
 @example((101, [5], 0, [1, 0, 1])).via("e = 0")
 @example((2, [1, 1], 1, [1, 1, 1])).via("e = 1")
+@example((101, [0, 1], 101, [1, 1, 0, 1])).via("a monomial under a hook")
 def test_powmod_matches_sympy(case):
     # `_powmod` takes a reduced a, so a is reduced mod w first
     p, a, e, w = case

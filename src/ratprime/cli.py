@@ -4,21 +4,18 @@ Every run produces a report with a fixed key set (see report_schema.json);
 inapplicable sections carry nulls so the layout never depends on the input.
 Exit codes: 0 success, 2 expression syntax errors, 3 precondition
 violations.  With --json the report (or the error) is printed as a single
-JSON document; coefficients appear as decimal strings, never floats.  The
-document is written by `_json`, whose text is that of
-`json.dumps(report, indent=2)`: the stdlib skips its C encoder whenever an
-indent is set, and its Python encoder leaves reference cycles behind.  argv
-that names a subcommand goes straight to that subcommand's parser; anything
-else goes to the top-level parser.
+JSON document on one line, `json.dumps(report)`; coefficients appear as
+decimal strings, never floats.  argv that names a subcommand goes straight
+to that subcommand's parser; anything else goes to the top-level parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import PreconditionError
 from .fields import PrimeField, parse_field
@@ -151,10 +148,10 @@ def _cmd_decompose(args, report: dict) -> int:
 def _cmd_fq(args, report: dict) -> int:
     if args.p:
         field = PrimeField(args.p)
-        if args.field != "Q" and parse_field(args.field) != field:
+        if args.field is not None and parse_field(args.field) != field:
             raise PreconditionError(f"--field {args.field} and --p {args.p} name "
                                     f"different fields")
-    elif args.field != "Q":
+    elif args.field not in (None, "Q"):
         field = parse_field(args.field)
     else:
         raise PreconditionError("fq needs a prime field: pass --p P or --field F<p>")
@@ -238,12 +235,15 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
             ("resultant", "print the discriminant-in-t / critical resultant")):
         cmd = commands[name] = sub.add_parser(name, help=helptext)
         cmd.add_argument("expr", help="expression, e.g. '(x+1)^4/x^3'")
-        cmd.add_argument("--field", default="Q", help="Q (default) or F<p>")
+        # fq's --field has no default, so an explicit Q beside --p is a conflict
+        fq = name == "fq"
+        cmd.add_argument("--field", default=None if fq else "Q",
+                         help="F<p>, or pass --p" if fq else "Q (default) or F<p>")
         cmd.add_argument("--json", action="store_true", help="emit a JSON report")
         if name in ("analyze", "decompose"):
             cmd.add_argument("--oracle-budget", type=int, default=None, metavar="N",
                              help="candidate cap for the decomposition oracle")
-        if name == "fq":
+        if fq:
             cmd.add_argument("--p", type=int, default=0, help="field size (prime)")
     return parser, commands
 
@@ -267,35 +267,6 @@ def _parse_args(argv) -> argparse.Namespace:
     if extras:
         _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
-
-
-def _json(value, pad: str = "\n") -> str:
-    """The text `json.dumps(value, indent=2)` gives for a report: dicts with
-    str keys, lists, str, int, finite float, bool and None.  `pad` is the
-    newline and indent that precede the value's closing bracket."""
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is float:
-        return float.__repr__(value)
-    inner = pad + "  "
-    sep = "," + inner
-    if kind is dict:
-        if not value:
-            return "{}"
-        items = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + sep.join(items) + pad + "}"
-    if not value:
-        return "[]"
-    return "[" + inner + sep.join([_json(v, inner) for v in value]) + pad + "]"
 
 
 _HANDLERS = {
@@ -325,7 +296,7 @@ def main(argv=None) -> int:
     report["timing_ms"] = (time.perf_counter() - start) * 1000.0
     try:
         if args.json:
-            print(_json(report))
+            print(json.dumps(report))
         elif report["error"] is not None:
             print(f"error: {report['error']['message']}", file=sys.stderr)
         else:

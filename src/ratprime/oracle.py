@@ -20,7 +20,8 @@ in `squarefree` lists those divisors, and shifted to echelon form they give
 each degree a finite, complete candidate set of known size, at any p and k.
 Over Q the rational search runs on good-reduction images mod small primes,
 and witnesses are lifted symmetrically and re-verified exactly, so absence
-over Q is never claimed to be exhaustive.
+over Q is claimed to be exhaustive only where there is nothing to search (a
+prime degree).
 
 "Budget exhausted" and "exhaustively absent" are distinct outcomes; only
 the second lets an absent witness count as a proof.  One loop (`_search`)
@@ -329,7 +330,8 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
     factors symmetrically, and re-verify exactly over Q.
 
     A returned witness is exact and conclusive; an absent one proves
-    nothing (the result is never exhaustive over Q).
+    nothing, unless no right-factor degree exists (deg f is 1 or prime),
+    where the result is exhaustive.
     """
     if f.field != QQ:
         raise PreconditionError("reduction-and-lift search runs over Q")
@@ -339,7 +341,8 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
         if image is not None:
             images.append((p, _RightFactors(image)))
     tried = 0
-    for k in _right_degrees(f.degree):
+    degrees = _right_degrees(f.degree)
+    for k in degrees:
         for p, spaces in images:
             search = _search(spaces, [k], budget.candidate_cap - tried)
             tried += search.candidates
@@ -355,7 +358,7 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
                 return SearchResult((g, h), True, tried)
             # a mod-p witness that does not lift goes on to the next prime,
             # which may reduce the true witness non-spuriously
-    return SearchResult(None, False, tried)
+    return SearchResult(None, not degrees, tried)
 
 
 # ---------------------------------------------------------------------------

@@ -548,6 +548,17 @@ def test_lift_never_claims_exhaustive_absence():
     assert not out.exhaustive
 
 
+@pytest.mark.parametrize("expr", ["x^5/(x+1)", "(x^2+1)/x", "(x^3+2)/(x^2-3)", "x^7/(x^3+1)"])
+def test_lift_absence_at_a_prime_degree_is_exhaustive(expr):
+    # no right-factor degree divides a prime degree, so there is nothing to
+    # search, over Q as over F_p
+    for field in (QQ, PrimeField(5)):
+        out = decompose(parse_expression(expr, field), OracleBudget())
+        assert out == SearchResult(None, True, 0)
+    out = rat_decompose_via_reduction(parse_expression(expr, QQ), OracleBudget(candidate_cap=1))
+    assert out == SearchResult(None, True, 0)
+
+
 def test_lift_searches_whole_spaces_only():
     # k = 3 has 4 candidates mod 5, then 2 mod 7, 2 mod 11 and 4 mod 13; a
     # cap of 5 runs the first space and skips the others rather than

@@ -10,8 +10,9 @@ perfbench/corpus.py and runs it through each side's `cli.main`, job by job,
 in whole passes: one untimed pass per side first, whose reports (without
 `timing_ms`) are compared, then ROUNDS timed rounds of one pass per side,
 alternating which side runs first.  It prints jobs/s per round for each
-side, the medians, the median of the per-round change/parent ratios, how
-many rounds the change won, and whether every report is identical.  It also
+side, the medians, the median of the per-round change/parent ratios with
+a distribution-free 95 % interval for it (from 6 rounds on), how many
+rounds the change won, and whether every report is identical.  It also
 prints, for each side, job_ms_p50 and job_ms_p90 as perfbench/run.py defines
 them (across inputs, of each input's mean ms over the timed rounds), and the
 change/parent ratio of each.  Nothing is written under perfbench/ or the
@@ -33,6 +34,7 @@ import gc
 import importlib
 import io
 import json
+import math
 import shutil
 import statistics
 import sys
@@ -82,6 +84,22 @@ def job_quantiles(rounds: list) -> tuple[float, float]:
     return statistics.median(per_input), statistics.quantiles(per_input, n=10)[-1]
 
 
+def median_interval(values: list) -> tuple | None:
+    """Distribution-free 95 % interval for the median of `values`: the order
+    statistics at ranks j and n - j + 1, with j the largest rank such that
+    P(Binomial(n, 1/2) <= j - 1) <= 0.025.  None when n < 6, where no rank
+    qualifies."""
+    n = len(values)
+    j, below = 0, 1  # below = 2^n * P(Binomial(n, 1/2) <= j)
+    while below * 40 <= 2 ** n:
+        j += 1
+        below += math.comb(n, j)
+    if j == 0:
+        return None
+    ranked = sorted(values)
+    return ranked[j - 1], ranked[n - j]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -118,13 +136,17 @@ def main(argv=None) -> int:
                   + " jobs/s")
 
     medians = {side: statistics.median(rates[side]) for side in SIDES}
-    paired = statistics.median(c / p for p, c in zip(rates["parent"], rates["change"]))
-    wins = sum(c > p for p, c in zip(rates["parent"], rates["change"]))
+    ratios = [c / p for p, c in zip(rates["parent"], rates["change"])]
+    paired = statistics.median(ratios)
+    interval = median_interval(ratios)
+    wins = sum(r > 1 for r in ratios)
     same = [i for i, (a, b) in enumerate(zip(first["parent"], first["change"])) if a != b]
     print(f"{args.workload} seed {args.seed}, {len(argvs)} jobs a pass")
     print(f"median jobs/s: parent {medians['parent']:.1f}  change {medians['change']:.1f}"
           f"  ({medians['change'] / medians['parent'] - 1:+.1%})")
     print(f"median per-round change/parent: {paired:.3f} ({paired - 1:+.1%})")
+    print("95 % interval of that median: too few rounds (needs 6)" if interval is None else
+          f"95 % interval of that median: {interval[0]:.3f} to {interval[1]:.3f}")
     print(f"change wins {wins} of {args.rounds} rounds")
     quantiles = {side: job_quantiles(job_ms[side]) for side in SIDES}
     for k, name in enumerate(("job_ms_p50", "job_ms_p90")):

@@ -3,13 +3,11 @@
 from .errors import (DegenerateDerivativeError, FieldMismatchError,
                      PreconditionError, RatPrimeError)
 from .fields import Field, PrimeField, QQ, RationalField, parse_field
-from .fqring import (FqClass, FqFunction, all_functions, classify,
-                     count_permutations, from_table, identity_function,
-                     is_permutation, reduce_ring, ring_compose,
-                     zero_divisor_witness)
+from .fqring import (FqClass, FqFunction, classify, from_table, is_permutation,
+                     reduce_ring, ring_compose, zero_divisor_witness)
 from .numutil import greatest_proper_divisor, is_prime, prime_factors
 from .oracle import (OracleBudget, SearchResult, decompose,
-                     poly_decompose, rat_decompose, rat_decompose_all_k,
+                     poly_decompose, rat_decompose_all_k,
                      rat_decompose_via_reduction, right_factor_quotient,
                      solve_left_factor)
 from .parser import ParseError, format_poly, format_ratfun, parse_expression
@@ -20,12 +18,10 @@ from .primality import (CompositeWitness, PrimeByDegree, PrimeByNonzeroSimpleCri
                         degree_certificate, nonzero_simple_critical_certificate,
                         ord_infinity_certificate, simple_critical_certificate,
                         valency_certificate)
-from .ratfun import RatFun, mobius_inverse, normalize_right_factor, rat_compose, valency
-from .resultants import (CriticalValueReport, DiscriminantSplit,
-                         bareiss_determinant, composite_resultant_check,
-                         critical_report, critical_values, disc_in_t, discriminant, interpolate,
-                         rat_resultant_in_t, res_x_linear_t, resultant,
-                         split_discriminant, sylvester_matrix, sylvester_resultant)
+from .ratfun import RatFun, rat_compose
+from .resultants import (CriticalValueReport, critical_report, critical_values, disc_in_t,
+                         discriminant, interpolate, rat_resultant_in_t, res_x_linear_t,
+                         resultant)
 from .squarefree import SquarefreeFactorization, squarefree_decompose
 
 __version__ = "0.1.0"

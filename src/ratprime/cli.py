@@ -146,7 +146,7 @@ def _cmd_decompose(args, report: dict) -> int:
 
 
 def _cmd_fq(args, report: dict) -> int:
-    if args.p:
+    if args.p is not None:
         field = PrimeField(args.p)
         if args.field is not None and parse_field(args.field) != field:
             raise PreconditionError(f"--field {args.field} and --p {args.p} name "
@@ -235,7 +235,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
             ("resultant", "print the discriminant-in-t / critical resultant")):
         cmd = commands[name] = sub.add_parser(name, help=helptext)
         cmd.add_argument("expr", help="expression, e.g. '(x+1)^4/x^3'")
-        # fq's --field has no default, so an explicit Q beside --p is a conflict
+        # fq's --field and --p have no default, so an explicit Q beside --p is
+        # a conflict and an explicit --p 0 is not prime
         fq = name == "fq"
         cmd.add_argument("--field", default=None if fq else "Q",
                          help="F<p>, or pass --p" if fq else "Q (default) or F<p>")
@@ -244,7 +245,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
             cmd.add_argument("--oracle-budget", type=int, default=None, metavar="N",
                              help="candidate cap for the decomposition oracle")
         if fq:
-            cmd.add_argument("--p", type=int, default=0, help="field size (prime)")
+            cmd.add_argument("--p", type=int, default=None, help="field size (prime)")
     return parser, commands
 
 

@@ -90,9 +90,6 @@ class PrimeField(Field):
             raise ZeroDivisionError(f"division by {b}, which vanishes mod {p}")
         return a * pow(b, -1, p) % p
 
-    def elements(self):
-        return range(self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from math import factorial
 
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField
@@ -90,10 +88,6 @@ def from_table(p: int, values) -> FqFunction:
                       reduced=interpolate(field, range(p), values))
 
 
-def identity_function(p: int) -> FqFunction:
-    return reduce_ring(Poly.x(PrimeField(p)))
-
-
 def ring_compose(alpha: FqFunction, beta: FqFunction) -> FqFunction:
     """alpha o beta as functions: the composed table, interpolated."""
     _same_p(alpha, beta)
@@ -129,19 +123,3 @@ def zero_divisor_witness(phi: FqFunction) -> FqFunction:
         raise AssertionError("vanishing-polynomial witness failed (internal bug)")
     return witness
 
-
-def all_functions(p: int):
-    """Every function on F_p, as tables in lexicographic order (p^p of them)."""
-    for values in product(range(p), repeat=p):
-        yield from_table(p, values)
-
-
-def count_permutations(p: int) -> int:
-    """Exhaustively count the units among all p^p functions; equals p!."""
-    if p > 5:
-        raise PreconditionError("exhaustive enumeration capped at p <= 5")
-    count = sum(1 for values in product(range(p), repeat=p)
-                if len(set(values)) == p)
-    if count != factorial(p):
-        raise AssertionError("unit count differs from p! (internal bug)")
-    return count

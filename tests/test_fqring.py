@@ -1,17 +1,12 @@
-import os
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
+from math import factorial
 
 import pytest
 
-import ratprime
-from ratprime import (FqClass, Poly, PreconditionError, PrimeField,
-                      all_functions, classify, count_permutations, from_table,
-                      identity_function, is_permutation, poly_compose, reduce_ring,
-                      ring_compose, zero_divisor_witness)
-from conftest import fppoly
+from ratprime import (FqClass, Poly, PreconditionError, PrimeField, classify, from_table,
+                      is_permutation, poly_compose, reduce_ring, ring_compose,
+                      zero_divisor_witness)
+from conftest import all_functions, fppoly
 
 
 def test_reduce_ring_fermat():
@@ -62,7 +57,7 @@ def test_from_table_round_trip(rng):
 
 def test_ring_compose_identity():
     one_plus = reduce_ring(fppoly(3, 1, 1))
-    ident = identity_function(3)
+    ident = reduce_ring(Poly.x(PrimeField(3)))
     assert ring_compose(one_plus, ident) == one_plus
 
 
@@ -116,7 +111,7 @@ def test_zero_divisor_witness_rejects_zero_function():
 
 def test_zero_divisor_witness_rejects_units():
     with pytest.raises(PreconditionError):
-        zero_divisor_witness(identity_function(3))
+        zero_divisor_witness(reduce_ring(Poly.x(PrimeField(3))))
 
 
 def test_units_compose_iff_both_units_exhaustive_p3():
@@ -138,7 +133,7 @@ def test_trichotomy_partitions_everything():
 
 def test_witness_contract_exhaustive_small_fields():
     for p in (2, 3):
-        ident = identity_function(p)
+        ident = reduce_ring(Poly.x(PrimeField(p)))
         for phi in all_functions(p):
             if classify(phi) is not FqClass.ZERO_DIVISOR:
                 continue
@@ -163,22 +158,9 @@ def test_witness_contract_sampled_p5(rng):
 
 
 def test_count_permutations_small():
-    assert count_permutations(2) == 2
-    assert count_permutations(3) == 6
-    with pytest.raises(PreconditionError):
-        count_permutations(7)
-
-
-def test_count_permutations_check_survives_optimize():
-    # python -O strips assert statements; the internal count check must not
-    # be one, so a wrong p! still raises there
-    code = ("import ratprime.fqring as m\n"
-            "m.factorial = lambda p: 0\n"
-            "try:\n    m.count_permutations(3)\n"
-            "except AssertionError:\n    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(ratprime.__file__).parents[1]))
-    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+    # the units are the permutations, p! of the p^p functions
+    for p in (2, 3):
+        assert sum(map(is_permutation, all_functions(p))) == factorial(p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -7,14 +7,13 @@ from hypothesis import given, strategies as st
 
 from ratprime import (OracleBudget, Poly, PreconditionError, PrimeField, QQ,
                       RatFun, SearchResult, decompose, parse_expression, poly_compose,
-                      poly_exact_div, poly_gcd,
-                      poly_decompose, rat_compose, rat_decompose,
+                      poly_exact_div, poly_gcd, poly_decompose, rat_compose,
                       rat_decompose_all_k, rat_decompose_via_reduction,
                       right_factor_quotient, solve_left_factor)
 from ratprime import oracle
 from ratprime._intpoly import mod_mul
 from ratprime.errors import FieldMismatchError
-from ratprime.oracle import _RightFactors, _right_degrees, _tame_right_factor
+from ratprime.oracle import _RightFactors, _right_degrees, _search, _tame_right_factor
 from ratprime.squarefree import irreducible_factors
 from conftest import field_of, fppoly, from_sympy, qpoly, random_poly, to_sympy, untimed
 
@@ -202,9 +201,16 @@ def test_oracle_budget_has_only_a_cap():
         OracleBudget(candidate_cap=0)
 
 
-def test_poly_decompose_rejects_prime_degree():
-    with pytest.raises(PreconditionError):
-        poly_decompose(qpoly(0, 1, 0, 1), OracleBudget())
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_poly_decompose_prime_degree_is_exhaustive_absence(field):
+    # no right-factor degree divides 1 or a prime, so there is nothing to
+    # search, as for a rational function; only a constant is rejected
+    for f in (Poly.x(field), Poly(field, (0, 1, 0, 1)), Poly(field, (1, 0, 1, 0, 0, 1))):
+        assert poly_decompose(f, OracleBudget()) == SearchResult(None, True, 0)
+        assert decompose(RatFun(f), OracleBudget()) == SearchResult(None, True, 0)
+    for f in (Poly.zero(field), Poly.one(field)):
+        with pytest.raises(PreconditionError):
+            poly_decompose(f, OracleBudget())
 
 
 def test_poly_decompose_normalization_completeness(rng):
@@ -232,6 +238,11 @@ def test_poly_decompose_deterministic():
 # ---------------------------------------------------------------------------
 # rational decomposition over F_p
 
+def rat_decompose(f, k, budget):
+    """The search over the one right-factor degree k."""
+    return _search(_RightFactors(f), [k], budget.candidate_cap)
+
+
 def test_rat_decompose_recovers_mod5_image_of_worked_example():
     field = PrimeField(5)
     f = parse_expression("(x^4+1)^3*(x^4+x^2+2)/(x^2+1)^4", field)
@@ -253,14 +264,6 @@ def test_rat_decompose_constructed_mod3():
     gg, hh = out.witness
     assert rat_compose(gg, hh) == f
     assert gg.degree == 2 and hh.degree == 2
-
-
-def test_rat_decompose_rejects_bad_k():
-    field = PrimeField(3)
-    f = rat_compose(RatFun(Poly(field, (0, 0, 1))),
-                    RatFun(Poly(field, (1, 0, 1)), Poly.x(field)))
-    with pytest.raises(PreconditionError):
-        rat_decompose(f, 3, OracleBudget())
 
 
 def test_rat_decompose_exhaustive_absence_for_prime_certified_function():
@@ -606,12 +609,6 @@ def test_solve_left_factor_rejects_constant_right_factor():
     f = parse_expression("(x^2+1)^2/x^2", QQ)
     with pytest.raises(PreconditionError):
         solve_left_factor(f, RatFun.constant(QQ, 3))
-
-
-def test_rat_decompose_rejects_k_zero():
-    f = parse_expression("(x^2+1)^2/x^2", PrimeField(3))
-    with pytest.raises(PreconditionError):
-        rat_decompose(f, 0, OracleBudget())
 
 
 @pytest.mark.parametrize("text", ["3", "0"])

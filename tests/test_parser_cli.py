@@ -252,6 +252,16 @@ def test_parse_matches_ratfun_reference(p, source):
             assert (type(c) is int and 0 <= c < p) if p else type(c) is Fraction
 
 
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("source", [
+    "(x+1)/x*(x-1)/(x^2+1)", "x/(x+1)/(x+2)", "(1/(x+1))^3*(x+1)^2", "(1/x)/3",
+    "(1/x)/(1/x)", "0*(1/x)", "1/x-(x+1)/(x-1)+x"])
+def test_parse_ratfun_operands_match_reference(p, source):
+    # products, quotients, sums and powers with a fraction operand
+    field = field_of(p)
+    assert _outcome(source, field, parse_expression) == _outcome(source, field, _reference_parse)
+
+
 @pytest.mark.parametrize("p, source, position", [
     (5, "x/5", 1), (2, "x^2+1/(x-x)", 5), (0, "(x+1)/(2-2)*x", 5), (7, "3/14", 1)])
 def test_parse_error_positions_match_reference(p, source, position):
@@ -583,6 +593,17 @@ def test_cli_fq_rejects_conflicting_field_flags(capsys, schema):
     # flags that agree name one field
     code, report = _run_json(capsys, "fq", "--p", "3", "--field", "F3", "x^2")
     assert code == 0 and report["field"] == "F3"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fq", "--p", "0", "--field", "F5", "x^2"], "0 is not prime"),
+    (["fq", "x^2"], "fq needs a prime field"),
+    (["resultant", "x^2/x"], "disc-in-t needs degree >= 2")])
+def test_cli_precondition_messages(capsys, schema, argv, message):
+    code, report = _run_json(capsys, *argv)
+    assert code == 3
+    jsonschema.validate(report, schema)
+    assert message in report["error"]["message"]
 
 
 def test_cli_fq_rejects_rational_functions(capsys, schema):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -8,10 +9,9 @@ from hypothesis import assume, example, given, strategies as st
 from ratprime import _intpoly, squarefree
 from ratprime import (NEG_INF, Poly, PreconditionError, PrimeField, QQ, RatFun,
                       discriminant, poly_compose, poly_divmod, poly_exact_div, poly_gcd,
-                      rat_compose, resultant, squarefree_decompose, sylvester_resultant,
-                      valency)
-from conftest import (field_of, fppoly, from_sympy, qpoly, random_poly,
-                      sympy_fraction, sympy_homogenized, to_sympy, untimed)
+                      rat_compose, resultant, squarefree_decompose)
+from conftest import (field_of, fppoly, from_sympy, qpoly, random_poly, sylvester_resultant,
+                      sympy_fraction, sympy_homogenized, to_sympy, untimed, valency)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +686,8 @@ def test_squarefree_reconstruction_random(rng):
             if f.degree < 1:
                 continue
             sf = squarefree_decompose(f)
-            assert sf.reconstruct(field) == f
+            assert prod((factor ** m for factor, m in sf.parts),
+                        start=Poly.constant(field, sf.constant)) == f
             for factor, _ in sf.parts:
                 assert factor.lc == field.one
                 assert poly_gcd(factor, factor.derivative()).degree == 0

@@ -117,8 +117,7 @@ def test_nonzero_simple_critical_quartic_found_by_search():
     # oracle on a good-reduction image mod 5
     import random
 
-    from ratprime import OracleBudget, rat_decompose
-    from ratprime.oracle import _reduce_mod
+    from ratprime.oracle import _RightFactors, _reduce_mod, _search
 
     rng = random.Random(41)
     hits = 0
@@ -136,7 +135,7 @@ def test_nonzero_simple_critical_quartic_found_by_search():
         image = _reduce_mod(f, 5)
         if image is None:
             continue
-        search = rat_decompose(image, 2, OracleBudget(candidate_cap=50_000))
+        search = _search(_RightFactors(image), [2], 50_000)
         assert search.witness is None and search.exhaustive
 
 

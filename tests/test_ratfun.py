@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from ratprime import (Poly, PreconditionError, PrimeField, QQ, RatFun,
-                      mobius_inverse, normalize_right_factor, parse_expression,
+from ratprime import (Poly, PreconditionError, PrimeField, QQ, RatFun, parse_expression,
                       rat_compose, ratfun)
-from conftest import fppoly, qpoly, random_poly, random_ratfun
+from conftest import fppoly, normalize_right_factor, qpoly, random_poly, random_ratfun
 
 
 def _ex_ordi():
@@ -228,6 +227,15 @@ def test_negative_ord_composition_law(rng):
 
 # ---------------------------------------------------------------------------
 # unit inversion and right-factor normalization
+
+def mobius_inverse(u):
+    """The compositional inverse (d x - b)/(a - c x) of a degree-1
+    u = (a x + b)/(c x + d)."""
+    if u.degree != 1:
+        raise PreconditionError("only degree-1 functions invert under composition")
+    (b, a), (d, c) = ((part.coeff(0), part.coeff(1)) for part in (u.numerator, u.denominator))
+    return RatFun(Poly(u.field, (-b, d)), Poly(u.field, (a, -c)))
+
 
 def test_mobius_inverse_round_trip(rng):
     for field in (QQ, PrimeField(7)):

@@ -1,21 +1,19 @@
 from fractions import Fraction
 from itertools import permutations, zip_longest
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from ratprime import (DegenerateDerivativeError, Poly, PreconditionError,
-                      PrimeField, QQ, RatFun, composite_resultant_check,
-                      critical_values, disc_in_t, discriminant, interpolate,
-                      poly_compose, rat_compose, rat_resultant_in_t,
-                      res_x_linear_t, resultant, split_discriminant,
-                      sylvester_matrix, sylvester_resultant)
+                      PrimeField, QQ, RatFun, critical_values, disc_in_t, discriminant,
+                      greatest_proper_divisor, interpolate, poly_compose, rat_compose,
+                      rat_resultant_in_t, res_x_linear_t, resultant)
 from ratprime import _intpoly, resultants
 from ratprime.poly import poly_exact_div
-from ratprime.resultants import _sylvester_rows, bareiss_determinant
-from conftest import (field_of, fppoly, qpoly, random_poly, random_ratfun,
-                      sympy_fraction, to_sympy, untimed)
+from conftest import (bareiss_determinant, field_of, fppoly, qpoly, random_poly,
+                      random_ratfun, split_discriminant, sylvester_matrix,
+                      sylvester_resultant, sympy_fraction, to_sympy, untimed, valency)
 
 
 def _naive_det(rows):
@@ -45,8 +43,8 @@ def _tpoly_sylvester(a: Poly, b: Poly, c: Poly) -> Poly:
     # x-coefficients of a - t*b, descending; the leading one is nonzero
     cols = [Poly(field, (a.coeff(i), -b.coeff(i))) for i in reversed(range(n))]
     zero = Poly.zero(field)
-    rows = _sylvester_rows(cols, [Poly.constant(field, cc) for cc in reversed(c.coeffs)],
-                           zero)
+    rows = sylvester_matrix(cols, [Poly.constant(field, cc) for cc in reversed(c.coeffs)],
+                            zero)
     return bareiss_determinant(rows, zero, Poly.one(field), poly_exact_div)
 
 
@@ -60,14 +58,9 @@ def test_sylvester_examples():
 
 
 def test_sylvester_matrix_shape():
-    rows = sylvester_matrix(qpoly(1, 0, 1), Poly.x(QQ))
+    rows = sylvester_matrix([1, 0, 1], [1, 0], 0)  # x^2 + 1 and x
     assert len(rows) == 3 and all(len(r) == 3 for r in rows)
     assert _naive_det(rows) == Fraction(1)
-
-
-def test_sylvester_rejects_two_constants():
-    with pytest.raises(PreconditionError):
-        sylvester_resultant(qpoly(2), qpoly(3))
 
 
 def test_bareiss_matches_naive_determinant(rng):
@@ -75,7 +68,7 @@ def test_bareiss_matches_naive_determinant(rng):
         for _ in range(25):
             f = random_poly(rng, field, rng.randint(1, 3))
             g = random_poly(rng, field, rng.randint(1, 3))
-            rows = sylvester_matrix(f, g)
+            rows = sylvester_matrix(list(f.coeffs[::-1]), list(g.coeffs[::-1]), field.zero)
             assert sylvester_resultant(f, g) == field(_naive_det(rows))
 
 
@@ -367,20 +360,20 @@ def test_route_switch_matches_direct_determinant(rng, p, lead):
 
 
 def test_small_field_evaluates_no_polynomial_determinant(rng, monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(len(args[0]))
-        return bareiss_determinant(*args)
-
-    monkeypatch.setattr(resultants, "bareiss_determinant", counting)
+    # the library holds no determinant: F_3 is too small for the
+    # characteristic polynomial, so every call takes the integer nodes
+    routes = []
+    for name in ("res_linear_nodes", "mod_res_linear"):
+        kernel = getattr(_intpoly, name)
+        monkeypatch.setattr(_intpoly, name, lambda *args, kernel=kernel, name=name:
+                            routes.append(name) or kernel(*args))
     field = PrimeField(3)
     for degree in (8, 10, 14):
         f = random_poly(rng, field, degree, lc_choices=(1, 2))
         assert f.derivative().degree >= 3  # F_3 has too few nodes
         disc_in_t(f)
         rat_resultant_in_t(RatFun(f, random_poly(rng, field, 3, lc_choices=(1, 2))))
-    assert calls == []
+    assert routes == ["res_linear_nodes"] * 6
 
 
 def _per_node_res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
@@ -677,22 +670,20 @@ def test_critical_values_rejects_zero():
 # discriminant of a composition
 
 def test_split_discriminant_square_square():
-    split = split_discriminant(qpoly(0, 0, 1), qpoly(0, 0, 1))
-    assert split.constant == Fraction(1)
-    assert split.left_disc == qpoly(0, 4)
-    assert split.right_res == qpoly(0, -16)
-    assert split.right_degree == 2
+    a, left, right = split_discriminant(qpoly(0, 0, 1), qpoly(0, 0, 1))
+    assert a == Fraction(1)
+    assert left == qpoly(0, 4)
+    assert right == qpoly(0, -16)
     f = poly_compose(qpoly(0, 0, 1), qpoly(0, 0, 1))
-    assert disc_in_t(f) == (split.left_disc ** 2 * split.right_res).scale(split.constant)
+    assert disc_in_t(f) == (left ** 2 * right).scale(a)
 
 
 def test_split_discriminant_examples():
     for g, h in ((qpoly(0, 1, 1), qpoly(0, 0, 1)),
                  (qpoly(0, 0, 0, 1), qpoly(0, 0, 1))):
-        split = split_discriminant(g, h)
+        a, left, right = split_discriminant(g, h)
         f = poly_compose(g, h)
-        rebuilt = (split.left_disc ** split.right_degree * split.right_res)
-        assert disc_in_t(f) == rebuilt.scale(split.constant)
+        assert disc_in_t(f) == (left ** h.degree * right).scale(a)
 
 
 def test_split_discriminant_random_and_right_degree(rng):
@@ -701,12 +692,24 @@ def test_split_discriminant_random_and_right_degree(rng):
         for _ in range(15):
             g = random_poly(rng, field, rng.randint(2, 4))
             h = random_poly(rng, field, rng.randint(2, 4))
-            split = split_discriminant(g, h)  # identity is self-checked inside
-            assert split.right_res.degree == h.degree - 1
+            a, left, right = split_discriminant(g, h)
+            assert disc_in_t(poly_compose(g, h)) == (left ** h.degree * right).scale(a)
+            assert right.degree == h.degree - 1
 
 
 # ---------------------------------------------------------------------------
 # structural check for compositions of rational functions
+
+def composite_resultant_check(g, h):
+    """For f = g o h: the multiplicity ell of t = 0 in Res_x(f - t, f'), and
+    whether the side condition holds: when gcd(deg f, ord_infinity f) = 1
+    and ord_infinity f exceeds the greatest proper divisor of deg f, ell > 0."""
+    f = rat_compose(g, h)
+    ell = critical_values(rat_resultant_in_t(f)).zero_multiplicity
+    applies = (gcd(f.degree, abs(f.ord_infinity)) == 1
+               and f.ord_infinity > greatest_proper_divisor(f.degree))
+    return ell, not applies or ell > 0
+
 
 def test_composite_resultant_check_worked_example():
     g = RatFun(qpoly(1, 1), qpoly(0, 0, 0, 0, 1))
@@ -749,8 +752,6 @@ def test_composite_resultant_check_polynomial_consistency():
 def test_critical_values_are_roots_of_rat_resultant():
     # rational critical points of (x+1)^4/x^3 are -1 (valency 4) and 3
     # (valency 2); their values 0 and 256/27 are exactly the roots
-    from ratprime import valency
-
     f = RatFun(qpoly(1, 4, 6, 4, 1), qpoly(0, 0, 0, 1))
     res = rat_resultant_in_t(f)
     for a in (QQ(-1), QQ(3)):
@@ -764,8 +765,6 @@ def test_critical_values_are_roots_of_rat_resultant():
 def test_critical_values_iff_for_x_plus_inverse():
     f = RatFun(qpoly(1, 0, 1), Poly.x(QQ))
     res = rat_resultant_in_t(f)  # 4 - t^2, roots exactly +-2 = f(+-1)
-    from ratprime import valency
-
     assert valency(f, QQ(1)) == 2 and valency(f, QQ(-1)) == 2
     assert res(QQ(2)) == 0 and res(QQ(-2)) == 0
     for a in (QQ(2), QQ(3), QQ(-4)):

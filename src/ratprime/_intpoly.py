@@ -9,14 +9,14 @@ step, `_step`: Euclid's remainder mod p, and over Z the subresultant
 remainder, whose normal step forms the pseudo-remainder and divides it by
 its exact scale in the same pass; `_res_sequence` is a loop over `_step`.
 
-Res_x(a - t*b, c) as a polynomial in t has one routine per field.  Over F_p
-with p > deg c, `mod_res_linear` reads it off as a scaled characteristic
+Res_x(a - t*b, c) as a polynomial in t has one routine per field.  Over
+every F_p, `mod_res_linear` reads it off as a scaled characteristic
 polynomial in F_p[x]/(c): power sums by baby steps and giant steps, each
-product one int product of Kronecker substitutions, and Newton's identities
-(its docstring has the proof).  Over Z, `res_linear_nodes` evaluates it at
-many integer nodes t0 for interpolation: it runs the first steps once for
-all nodes, on remainders r0 + t*r1 whose quotients and leading coefficients
-carry no t, and only the rest per node (its docstring has the proof).
+product one int product of Kronecker substitutions, and Newton's identities,
+all mod p^(1 + v_p(deg c!)) (its docstring has the proof).  Over Z,
+`res_linear_nodes` evaluates it at many integer nodes t0 for interpolation:
+it runs the first steps once for all nodes, on remainders r0 + t*r1 whose
+quotients and leading coefficients carry no t, and only the rest per node.
 
 Over Q (p = 0) the kernel clears denominators once (`_clear`) and does its
 work in Z[x]:
@@ -343,74 +343,97 @@ def _norm_inverse(u: list, c: list, p: int) -> tuple:
 
 def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
     """Res_x(a - t*b, c) over F_p as a trimmed coefficient list in t, for
-    residue lists with deg c = m >= 1, n = max(deg a, deg b) >= 1 and p > m:
-    a scaled characteristic polynomial in A = F_p[x]/(c~), c~ = c / lc(c),
-    after Bostan, Flajolet, Salvy and Schost, "Fast computation of special
-    resultants" (JSC 2006).
+    residue lists with deg c = m >= 1 and n = max(deg a, deg b) >= 1, at
+    every prime p: a scaled characteristic polynomial in A = F_p[x]/(c~),
+    c~ = c / lc(c), after Bostan, Flajolet, Salvy and Schost, "Fast
+    computation of special resultants" (JSC 2006).
 
     Let a~, b~ be a, b mod c~ and let beta run over the roots of c, with
     multiplicity, in an algebraic closure.  Over F_p(t), a - t*b has
     x-degree n identically, so Poisson's formula holds there:
         R(t) = (-1)^(nm) lc(c)^n prod_beta (a~(beta) - t*b~(beta)),
     an identity in F_p[t], so it holds at every t = s too.  For w in A let
-    E_w(z) = prod_beta (1 - z*w(beta)); from the power sums P_k = sum_beta
-    w(beta)^k = Tr(w^k) (the trace of multiplication by w on A), Newton's
-    identities k*E_k = -sum_{i=1..k} P_i E_{k-i} give it, dividing by k <= m
-    < p.
+    E_w(z) = prod_beta (1 - z*w(beta)), the determinant of 1 - z*w on A.
     - When b~ is a nonzero constant b0 (every polynomial f, where b = 1),
       w = a~/b0 and prod_beta (w(beta) - t) = (-1)^m t^m E_w(1/t), so R(t) =
       (-1)^(nm+m) lc(c)^n b0^m t^m E_w(1/t).
-    - Otherwise s0 is the first of 0..m where u = a~ - s0*b~ is a unit of A,
-      which is where R(s0) = (-1)^(nm) lc(c)^n N(u) != 0 with N(u) =
-      prod_beta u(beta) = Res(c~, u) (`_norm_inverse`).  R has degree <= m,
-      so R is zero when no one of these m + 1 values qualifies.  With w =
+    - Otherwise s0 is the first of 0..min(m, p - 1) where u = a~ - s0*b~ is
+      a unit of A, which is where R(s0) = (-1)^(nm) lc(c)^n N(u) != 0 with
+      N(u) = prod_beta u(beta) = Res(c~, u) (`_norm_inverse`).  With w =
       b~/u, a~ - t*b~ = u*(1 - (t - s0)*w), so R(t) = R(s0) E_w(t - s0).
+    - When no s0 qualifies, R is zero if p > m (R has degree <= m and
+      these m + 1 zeros) or if a~ = b~ = 0.  Otherwise u = a~, or b~ when
+      a~ = 0, is not a unit (s0 = 0 tried a~, s0 = 1 tried -b~), so g =
+      gcd(u, c~) has 0 < deg g < m.  The roots of c~ are those of g and of
+      h = c~/g, and Poisson's formula for the monic g and h gives R =
+      lc(c)^n Res_x(a - t*b, g) Res_x(a - t*b, h), each computed here.
 
-    The traces: Tr(x^i) = s_i is the i-th power sum of the roots of c~, and
-    sum_i s_i y^i = rev(c~')/rev(c~), the logarithmic derivative reversed;
-    Tr is linear, so Tr(g*h) = sum g_i h_j s_(i+j) for g, h in A.  The P_k
+    E_w comes from the power sums P_k = sum_beta w(beta)^k = Tr(w^k) (the
+    trace of multiplication by w on A) by Newton's identities k*E_k =
+    -sum_{i=1..k} P_i E_{k-i}, which divide by k <= m.  So the traces and
+    the identities run mod M = p^N, N = 1 + v_p(m!) by Legendre's formula
+    (M = p when p > m), on the residue lists read as integers, as lifts: c~
+    of a monic C, w of some W in B = (Z/M)[x]/(C).  B is free on 1, ...,
+    x^(m-1), which reduce to the same basis of A, so det(1 - z*W) on B
+    reduces mod p to E_w for any lifts; a~, b~, N(u) and u^-1 stay mod p.
+    The identities hold over Z/M, and by induction E_k holds mod p^(N -
+    v_p(k!)): with every E_j, j < k, known mod p^N', N' = N - v_p((k-1)!),
+    the sum is k*E_k mod p^N'; times the inverse mod M of the unit k/p^v, v
+    = v_p(k), it is p^v E_k mod p^N', a multiple of p^v as N' - v = N -
+    v_p(k!) >= 1, and its exact quotient by p^v is E_k mod p^(N - v_p(k!)),
+    so at least mod p, which is all that is read.  M > m (p^L <= m <
+    p^(L+1) gives L <= v_p(m!)), so C' keeps its degree m - 1 mod M.
+
+    The traces: Tr(x^i) = s_i is the i-th power sum of the roots of C, and
+    sum_i s_i y^i = rev(C')/rev(C), the logarithmic derivative reversed;
+    Tr is linear, so Tr(g*h) = sum g_i h_j s_(i+j) for g, h in B.  The P_k
     come by baby steps and giant steps (Shoup 1994): with r = ceil(sqrt m),
     P_(jr+i) = <w^i, v> with v_l = Tr(x^l G^j) = sum_h (G^j)_h s_(l+h) for
-    G = w^r, one Hankel product for each j, so about 2 sqrt(m) products in A.
+    G = w^r, one Hankel product for each j, so about 2 sqrt(m) products in B.
 
     Every product is one int product of Kronecker substitutions (`_pack`),
-    in slots of ceil((2 bits(p) + bits(m) + 2)/8) bytes: each slot of a
-    product of residue lists sums at most m products of two residues, less
-    than m p^2.  A product f (deg f <= 2m - 2) reduces mod c~ by Barrett:
-    with I = 1/rev(c~) mod y^(m-1), f = q*c~ + r has rev(q) = rev(f)*I mod
-    y^(m-1) and r = f - q*c~ mod x^m, two more products.
+    in slots of ceil((2 bits(M) + bits(m) + 2)/8) bytes: each slot of a
+    product of lists of entries below M sums at most m products of two of
+    them, less than m M^2.  A product f (deg f <= 2m - 2) reduces mod C by
+    Barrett: with I = 1/rev(C) mod y^(m-1), f = q*C + r has rev(q) =
+    rev(f)*I mod y^(m-1) and r = f - q*C mod x^m, two more products.
     """
     m, n = len(c) - 1, max(len(a), len(b)) - 1
     lead = c[-1]
     inv = pow(lead, -1, p)
     mc = [x * inv % p for x in c]
     abar, bbar = mod_divmod(a, mc, p)[1], mod_divmod(b, mc, p)[1]
-    k = (2 * p.bit_length() + m.bit_length() + 9) // 8
-    # 1/rev(c~) to 2m - 1 terms: I is its first m - 1
+    pn = p ** (1 + sum(m // p ** i for i in range(1, m.bit_length())))  # M = p^N
+    k = (2 * pn.bit_length() + m.bit_length() + 9) // 8
+    # 1/rev(C) to 2m - 1 terms: I is its first m - 1
     rc, series = mc[-2::-1], [1]
     for i in range(1, 2 * m - 1):
-        series.append(-sum(map(mul, rc, series[::-1])) % p)
-    traces = _unpack(_pack(mod_deriv(mc, p), k, "big") * _pack(series, k), k, 0, 2 * m - 1, p)
+        series.append(-sum(map(mul, rc, series[::-1])) % pn)
+    traces = _unpack(_pack(mod_deriv(mc, pn), k, "big") * _pack(series, k), k, 0, 2 * m - 1, pn)
     barrett, cpack = _pack(series[:m - 1], k), _pack(mc[:m], k)
 
     def reduce(prod: int) -> list:
-        """The residue mod c~ of a packed product of two residue lists."""
-        f = _unpack(prod, k, 0, 2 * m - 1, p)
-        q = _unpack(_pack(f[m:], k, "big") * barrett, k, 0, m - 1, p)  # rev(q)
-        qc = _unpack(_pack(q, k, "big") * cpack, k, 0, m, p)
-        return trim([(x - y) % p for x, y in zip(f, qc)])
+        """The residue mod C of a packed product of two lists."""
+        f = _unpack(prod, k, 0, 2 * m - 1, pn)
+        q = _unpack(_pack(f[m:], k, "big") * barrett, k, 0, m - 1, pn)  # rev(q)
+        qc = _unpack(_pack(q, k, "big") * cpack, k, 0, m, pn)
+        return trim([(x - y) % pn for x, y in zip(f, qc)])
 
     if len(bbar) == 1:
         s0, norm, inv = None, pow(bbar[0], m, p), pow(bbar[0], -1, p)
         w = [x * inv % p for x in abar]
     else:
-        for s0 in range(m + 1):
+        for s0 in range(min(m, p - 1) + 1):
             u = trim([(x - s0 * y) % p for x, y in zip_longest(abar, bbar, fillvalue=0)])
             norm, uinv = _norm_inverse(u, mc, p)
             if norm:
                 break
         else:
-            return []
+            if p > m or not (abar or bbar):
+                return []
+            g = mod_gcd(abar or bbar, mc, p)
+            parts = [mod_res_linear(a, b, h, p) for h in (g, mod_divmod(mc, g, p)[0])]
+            return [x * pow(lead, n, p) % p for x in mod_mul(*parts, p)]
         w = reduce(_pack(bbar, k) * _pack(uinv, k))
     r = isqrt(m - 1) + 1
     wpack = _pack(w, k)
@@ -423,13 +446,15 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
     for j in range(m // r + 1):
         if j:
             g = reduce(_pack(g, k) * gpack) if j > 1 else giant
-            v = _unpack(tpack * _pack(g, k, "big"), k, len(g) - 1, m, p)
+            v = _unpack(tpack * _pack(g, k, "big"), k, len(g) - 1, m, pn)
         else:
             v = traces[:m]
-        sums.extend(sum(map(mul, x, v)) % p for x in baby[:m + 1 - j * r])
+        sums.extend(sum(map(mul, x, v)) % pn for x in baby[:m + 1 - j * r])
     e = [1]
     for i in range(1, m + 1):
-        e.append(-sum(map(mul, sums[1:i + 1], e[::-1])) * pow(i, -1, p) % p)
+        power = gcd(i, pn)  # p^(v_p(i)), as v_p(i) < N
+        e.append(-sum(map(mul, sums[1:i + 1], e[::-1])) * pow(i // power, -1, pn) % pn // power)
+    e = [x % p for x in e]
     scale = (-1) ** (n * m) * pow(lead, n, p) * norm % p
     if s0 is None:
         e, scale = e[::-1], (-1) ** m * scale

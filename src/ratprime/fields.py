@@ -68,7 +68,7 @@ class PrimeField(Field):
     """The field F_p for prime p, with int scalars in [0, p)."""
 
     def __init__(self, p: int):
-        if p >= _MR_BOUND:  # above it is_prime falls back to trial division
+        if p >= _MR_BOUND:  # above it is_prime proves only compositeness
             raise PreconditionError(f"field modulus must be below {_MR_BOUND}")
         if not _is_prime(p):
             raise PreconditionError(f"{p} is not prime")

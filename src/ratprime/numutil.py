@@ -28,15 +28,14 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: Miller-Rabin with the bases 2..41 below
-    _MR_BOUND, trial division above it."""
+    """Deterministic primality test: Miller-Rabin with the bases 2..41.
+    At or above _MR_BOUND a witness still proves n composite, but passing
+    every base proves nothing, so that raises PreconditionError."""
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= _MR_BOUND:
-        return smallest_prime_factor(n) == n
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -51,6 +50,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise PreconditionError(f"is_prime is deterministic only below {_MR_BOUND}")
     return True
 
 

@@ -2,17 +2,15 @@
 
 `resultant` is the kernel's `mod_resultant`: the subresultant PRS over Z
 after clearing denominators, Euclid on residues over F_p.  The
-polynomial-in-t resultants Res_x(a - t*b, c) take one route per field
-condition, on plain kernel lists.  Over F_p with more than deg c residues
-besides the bad node a_n/b_n, it is a scaled characteristic polynomial in
-F_p[x]/(c) (`_intpoly.mod_res_linear`), with no evaluation and no
-interpolation.  Otherwise (Q, or a small F_p) it is evaluated at deg c + 1
-integer nodes on integer lists (cleared once over Q, residues read as
-integers over a small F_p), whose remainder sequences share their t-free
+polynomial-in-t resultants Res_x(a - t*b, c) take one route per field, on
+plain kernel lists.  Over every F_p it is a scaled characteristic
+polynomial in F_p[x]/(c) (`_intpoly.mod_res_linear`), with no evaluation
+and no interpolation.  Over Q it is evaluated at deg c + 1 integer nodes on
+integer lists, cleared once, whose remainder sequences share their t-free
 first steps (`_intpoly.res_linear_nodes`), and the values are interpolated
 in Z (`_intpoly.mod_interpolate`), with one division by the cleared
-denominators, or one reduction mod p, at the end.  The test suite
-cross-checks every route against the Sylvester determinant.
+denominators at the end.  The test suite cross-checks both routes against
+the Sylvester determinant.
 """
 
 from __future__ import annotations
@@ -85,33 +83,27 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     """Res_x(a(x) - t*b(x), c(x)) as an exact polynomial in t.
 
     The t-degree is at most deg c (only the deg-c rows of the Sylvester
-    matrix carry t).  One route runs per field condition.
+    matrix carry t).  One route runs per field.
 
-    Over F_p with more than deg c residues besides the bad node a_n/b_n
-    (so p > deg c, which Newton's identities need), the kernel's
-    `mod_res_linear` reads it off as a characteristic polynomial of a
-    multiplication in F_p[x]/(c), scaled and shifted in t; its docstring
-    has the proof.
+    Over F_p, for every p, the kernel's `mod_res_linear` reads it off as a
+    characteristic polynomial of a multiplication in F_p[x]/(c), scaled
+    and shifted in t; its docstring has the proof.
 
-    Otherwise the integer route runs at deg c + 1 nodes, which determine
-    it; nodes where the x-leading coefficient of a - t*b would vanish are
-    excluded so specialization commutes with the determinant.  Over Q a, b
-    and c are cleared once, to A/da, B/db and C/dc, and over a smaller F_p
-    their residues are read as integers A, B, C with da = db = dc = 1.  With
-    L = lcm(da, db), a node's value is the subresultant PRS of the integer
-    list (L/da)*A - t0*(L/db)*B against C at integer nodes avoiding A_n/B_n
-    over Q.  Those values lie on an integer polynomial in t, so they
-    interpolate in Z, and one division by L^deg c * dc^n at the end gives
-    the resultant over Q.  Over F_p the lifts keep their lengths, so the
-    integer Sylvester determinant has the same shape and reduces mod p to
-    the one over F_p (von zur Gathen-Gerhard, Modern Computer Algebra,
-    ch. 6); `Poly` reduces it.  The remainder sequence is not run from
-    scratch at each node: while no quotient and no leading coefficient
-    involves t, every remainder is r0 + t*r1 and one run on the pair serves
-    all nodes, which then continue from the carried state
-    (`_intpoly.res_linear_nodes`).  For D[f - t] that shares about the
-    first half of the steps; when deg b >= deg a (a rational f with b_n !=
-    0) the leading coefficient carries t and every node runs alone.
+    Over Q it is evaluated at deg c + 1 integer nodes, which determine it;
+    nodes where the x-leading coefficient of a - t*b would vanish are
+    excluded so specialization commutes with the determinant.  a, b and c
+    are cleared once, to A/da, B/db and C/dc.  With L = lcm(da, db), a
+    node's value is the subresultant PRS of the integer list (L/da)*A -
+    t0*(L/db)*B against C at integer nodes avoiding A_n/B_n.  Those values
+    lie on an integer polynomial in t, so they interpolate in Z, and one
+    division by L^deg c * dc^n at the end gives the resultant over Q.  The
+    remainder sequence is not run from scratch at each node: while no
+    quotient and no leading coefficient involves t, every remainder is r0 +
+    t*r1 and one run on the pair serves all nodes, which then continue from
+    the carried state (`_intpoly.res_linear_nodes`).  For D[f - t] that
+    shares about the first half of the steps; when deg b >= deg a (a
+    rational f with b_n != 0) the leading coefficient carries t and every
+    node runs alone.
     """
     _same_field(a, b)
     _same_field(a, c)
@@ -123,23 +115,15 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     field = a.field
     if c.degree == 0:
         return Poly.constant(field, c.lc ** n)
+    if field.char:
+        return Poly._of(field, _intpoly.mod_res_linear(a.coeffs, b.coeffs, c.coeffs, field.char))
     bound = c.degree
-    p = field.char
     an, bn = a.coeff(n), b.coeff(n)
-    if p:
-        # lc in x is a_n - t*b_n; one bad node when b_n != 0
-        bad = {field.div(an, bn)} if bn else ()
-        if p - len(bad) > bound:
-            return Poly._of(field, _intpoly.mod_res_linear(a.coeffs, b.coeffs, c.coeffs, p))
-        ai, bi, ci = a.coeffs, b.coeffs, c.coeffs
-    else:
-        (ai, da), (bi, db), (ci, dc) = map(_intpoly._clear, (a.coeffs, b.coeffs, c.coeffs))
-        lden = lcm(da, db)
-        ai, bi = [x * (lden // da) for x in ai], [y * (lden // db) for y in bi]
+    (ai, da), (bi, db), (ci, dc) = map(_intpoly._clear, (a.coeffs, b.coeffs, c.coeffs))
+    lden = lcm(da, db)
+    ai, bi = [x * (lden // da) for x in ai], [y * (lden // db) for y in bi]
     nodes = _nodes(bound + 1, {Fraction(an, bn)} if bn else ())
     res = interpolate(QQ, nodes, _intpoly.res_linear_nodes(ai, bi, ci, nodes))
-    if p:
-        return Poly(field, res.coeffs)
     den = lden ** bound * dc ** n
     return res if den == 1 else res.scale(Fraction(1, den))
 

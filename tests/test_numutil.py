@@ -1,5 +1,6 @@
 import pytest
 
+from ratprime import PreconditionError
 from ratprime.numutil import _MR_BOUND, is_prime, smallest_prime_factor
 
 
@@ -25,3 +26,10 @@ def test_is_prime_accepts_word_primes(n):
 def test_is_prime_stays_exact_above_the_bound():
     n = 43 * 47 ** 15
     assert n > _MR_BOUND and not is_prime(n)
+
+
+def test_is_prime_raises_above_the_bound_when_no_base_is_a_witness():
+    # 2^89 - 1 is prime, so no base proves it composite, and above the bound
+    # passing every base proves nothing
+    with pytest.raises(PreconditionError, match=str(_MR_BOUND)):
+        is_prime(2 ** 89 - 1)

@@ -291,8 +291,8 @@ def _fraction_poly(rng, field, degree, lc):
 @pytest.mark.parametrize("p", [0, 7, 3])
 def test_interpolation_route_matches_direct_with_denominators(rng, p):
     # a - t*b and c carry denominators, so over Q every node clears them and
-    # the interpolant is divided once; p = 3 <= deg c takes the integer route
-    # on the residues
+    # the interpolant is divided once; p = 3 <= deg c runs the characteristic
+    # polynomial mod 3^2
     field = field_of(p)
     ratios = (0, 1, -1, 2, Fraction(1, 2))  # a_n / b_n, integral nodes first
     for trial in range(30):
@@ -312,8 +312,9 @@ def test_interpolation_route_matches_direct_with_denominators(rng, p):
         assert res_x_linear_t(a, b, c) == _tpoly_sylvester(a, b, c)
 
 
-def test_small_field_takes_integer_route():
-    # degree-6 polynomial over F_5 needs 6 nodes but only 5 exist
+def test_small_field_disc_in_t_matches_the_determinant():
+    # over F_5 deg f' = 5 = p, so Newton's identities divide by 5 and the
+    # characteristic polynomial runs mod 5^2
     field = PrimeField(5)
     f = fppoly(5, 1, 2, 0, 1, 0, 0, 1)
     d = disc_in_t(f)
@@ -326,9 +327,9 @@ def test_small_field_takes_integer_route():
                                      for lead in ("b_n = 0", "integral", "non-integral")
                                      if (p, lead) != (2, "non-integral")])
 def test_route_switch_matches_direct_determinant(rng, p, lead):
-    # p = deg c + 1 is the switch: residue nodes when b_n = 0, integer nodes
-    # when b_n != 0 excludes one residue; deg c = p, p + 1 always take the
-    # integer route, deg c = p - 2 never does
+    # deg c from p - 2 to p + 1: the characteristic polynomial runs mod p
+    # below p and mod p^2 from p on, with or without a node a_n/b_n where
+    # the x-leading coefficient of a - t*b vanishes
     field = PrimeField(p)
     for bound in (p - 2, p - 1, p, p + 1):
         if bound < 1:
@@ -360,8 +361,8 @@ def test_route_switch_matches_direct_determinant(rng, p, lead):
 
 
 def test_small_field_evaluates_no_polynomial_determinant(rng, monkeypatch):
-    # the library holds no determinant: F_3 is too small for the
-    # characteristic polynomial, so every call takes the integer nodes
+    # the library holds no determinant: over F_3 every call is one
+    # characteristic polynomial, mod 3^N, and none takes the integer nodes
     routes = []
     for name in ("res_linear_nodes", "mod_res_linear"):
         kernel = getattr(_intpoly, name)
@@ -370,17 +371,19 @@ def test_small_field_evaluates_no_polynomial_determinant(rng, monkeypatch):
     field = PrimeField(3)
     for degree in (8, 10, 14):
         f = random_poly(rng, field, degree, lc_choices=(1, 2))
-        assert f.derivative().degree >= 3  # F_3 has too few nodes
+        assert f.derivative().degree >= 3  # so Newton's identities divide by 3
         disc_in_t(f)
         rat_resultant_in_t(RatFun(f, random_poly(rng, field, 3, lc_choices=(1, 2))))
-    assert routes == ["res_linear_nodes"] * 6
+    assert routes == ["mod_res_linear"] * 6
 
 
 def _per_node_res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     """Res_x(a - t*b, c) by one full remainder sequence from scratch at each
-    node and interpolation: residue nodes where `res_x_linear_t` takes the
-    characteristic polynomial over F_p, and its integer nodes elsewhere.
-    The per-node loop that both routes replaced, kept as the reference."""
+    node and interpolation: residue nodes when F_p has more than deg c of
+    them besides a_n/b_n, and integer nodes otherwise, over Q and over a
+    smaller F_p, whose residues are read as integers (the integer
+    determinant reduces mod p to the one over F_p).  The per-node loop that
+    both library routes replaced, kept as the reference."""
     field = a.field
     n = max(len(a.coeffs), len(b.coeffs)) - 1
     if c.degree == 0:
@@ -568,6 +571,65 @@ def test_mod_res_linear_matches_the_references(case):
         assert res.is_zero
     if kind == "zero at t = 0":
         assert not res.coeff(0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_split_matches_the_closed_form(rng, monkeypatch, p):
+    # a - t*b = (x - t)*b, so R(t) = Res_x(x - t, c) Res(b, c) = c(t) Res(b, c).
+    # x^p - x divides c, so R vanishes on all of F_p and no s0 gives a unit:
+    # the kernel splits c by a gcd, and lc(c) != 1 (for p > 2) pins its
+    # lc(c)^n
+    calls = []
+    kernel = _intpoly.mod_res_linear
+    monkeypatch.setattr(_intpoly, "mod_res_linear",
+                        lambda *args: calls.append(1) or kernel(*args))
+    field = PrimeField(p)
+    x = Poly.x(field)
+    count = 0
+    while count < 30:
+        b = Poly(field, [rng.randrange(p) for _ in range(rng.randint(2, 4))] + [1])
+        if any(not b(s) for s in range(p)):
+            continue  # b must have no root in F_p
+        count += 1
+        # deg c >= 5 > deg b, so b~ = b is not a constant
+        h = Poly(field, [rng.randrange(p) for _ in range(rng.randint(0, 2) + max(0, 5 - p))]
+                 + [rng.randrange(2, p) if p > 2 else 1])
+        c = (x ** p - x) * h
+        calls.clear()
+        assert res_x_linear_t(x * b, b, c) == c.scale(resultant(b, c))
+        assert len(calls) > 1
+
+
+@st.composite
+def _small_field_case(draw):
+    """(a, b, c) over F_p, p in {2, 3, 5, 7}, with deg c >= p: D[f - t] of a
+    polynomial f, or Res_x(f - t, f') of a rational f on its numerators."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    field = PrimeField(p)
+
+    def poly(degree):
+        return Poly(field, draw(st.lists(st.integers(0, p - 1), min_size=degree,
+                                         max_size=degree)) + [draw(st.integers(1, p - 1))])
+
+    if draw(st.booleans()):
+        a = poly(draw(st.integers(p + 1, 9)))
+        b, c = Poly.one(field), a.derivative()
+    else:
+        f = RatFun(poly(draw(st.integers(1, 6))), poly(draw(st.integers(1, 6))))
+        assume(not f.is_constant)
+        a, b, c = f.numerator, f.denominator, f.derivative().numerator
+    assume(c.degree >= p)
+    return a, b, c
+
+
+@untimed
+@given(_small_field_case())
+def test_small_field_matches_the_determinant(case):
+    a, b, c = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_intpoly, "res_linear_nodes", None)  # the node route is not taken
+        res = res_x_linear_t(a, b, c)
+    assert res == _tpoly_sylvester(a, b, c)
 
 
 @pytest.mark.parametrize("kind", ["D[f - t]", "rational f", "zero at t = 0"])

@@ -12,7 +12,7 @@ its exact scale in the same pass; `_res_sequence` is a loop over `_step`.
 Res_x(a - t*b, c) as a polynomial in t has one routine per field.  Over
 every F_p, `mod_res_linear` reads it off as a scaled characteristic
 polynomial in F_p[x]/(c): power sums by baby steps and giant steps, each
-product one int product of Kronecker substitutions, and Newton's identities,
+product one int product and one fold of packed ints, and Newton's identities,
 all mod p^(1 + v_p(deg c!)) (its docstring has the proof).  Over Z,
 `res_linear_nodes` evaluates it at many integer nodes t0 for interpolation:
 it runs the first steps once for all nodes, on remainders r0 + t*r1 whose
@@ -43,19 +43,15 @@ work in Z[x]:
   itself.  The same holds over Z[t], which makes the shared steps of
   `res_linear_nodes` exact in Z.
 - Interpolation (`mod_interpolate`) keeps a divided difference in Z when it
-  divides exactly, which it always does for the values of an integer
-  polynomial at integer nodes, and falls back to an exact Fraction
-  otherwise.
+  divides exactly, as it does for an integer polynomial's values at integer
+  nodes, and an exact Fraction otherwise.
 
 Powering and composition are written once, for both fields, on the
 product.  `mod_pow` is the left-to-right binary method (Knuth, TAOCP vol. 2,
-4.6.3): a squaring for each bit of e below the top one and a product by a
-for each of those bits that is set, never a product by 1; its one hook maps
-each product to what the caller keeps (a remainder mod w, or a truncation).
-Without the hook a monomial c*x^d is the one shortcut, c^e*x^(d*e) with no
-products; under it there is none, so x^p mod w over a word-size p is never
-built densely.  Over Q it clears a once, powers in Z and divides by d^e at
-the end.
+4.6.3), never a product by 1, with one hook that maps each product to what
+the caller keeps (a remainder mod w, or a truncation); its monomial shortcut
+runs only without the hook, so x^p mod w over a word-size p is never built
+densely.
 `mod_forms` lists the forms u^i v^(m-i) in which a rational g(u/v) of degree
 m is written over v^m.  `mod_compose` is Horner's rule, which holds one
 power of h at a time where the forms would hold all of them.
@@ -321,6 +317,31 @@ def _unpack(n: int, k: int, start: int, count: int, p: int) -> list:
     return [read(raw[i:i + k], "little") % p for i in range(start * k, (start + count) * k, k)]
 
 
+def _packed_ring(c: list, pn: int, inverse: list) -> tuple:
+    """(k, mulmod) for B = (Z/M)[x]/(c), M = pn, c monic of degree m and
+    inverse = 1/rev(c) mod y^(m-1): the product of elements packed in k-byte
+    slots in [0, 2M), packed the same way (`mod_res_linear` has the proof)."""
+    m = len(c) - 1
+    k = (2 * pn.bit_length() + m.bit_length() + 9) // 8
+    w = 8 * k
+    mu, top, shift, low = (1 << w) // pn, w * m, w * max(m - 2, 0), (1 << w * m) - 1
+    even = int.from_bytes((b"\xff" * k + bytes(k)) * m, "little")  # slots 0, 2, .., 2m - 2
+    jpack, cneg = _pack(inverse, k, "big"), _pack([-x % pn for x in c[:m]], k)
+
+    def fold(n: int) -> int:
+        e, o = n & even, (n >> w) & even
+        e -= ((e * mu >> w) & even) * pn
+        o -= ((o * mu >> w) & even) * pn
+        return e | (o << w)
+
+    def mulmod(x: int, y: int) -> int:
+        n = fold(x * y)
+        q = fold(((n >> top) * jpack) >> shift)
+        return fold((n + q * cneg) & low)
+
+    return k, mulmod
+
+
 def _norm_inverse(u: list, c: list, p: int) -> tuple:
     """(N(u), u^-1 mod c) for a monic c and deg u < deg c, where N(u) =
     Res(c, u) is the product of u over the roots of c; (0, None) when u is
@@ -389,39 +410,36 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
     Tr is linear, so Tr(g*h) = sum g_i h_j s_(i+j) for g, h in B.  The P_k
     come by baby steps and giant steps (Shoup 1994): with r = ceil(sqrt m),
     P_(jr+i) = <w^i, v> with v_l = Tr(x^l G^j) = sum_h (G^j)_h s_(l+h) for
-    G = w^r, one Hankel product for each j, so about 2 sqrt(m) products in B.
+    G = w^r: m slots of G^j times the reversed traces; about 2 sqrt(m) products.
 
-    Every product is one int product of Kronecker substitutions (`_pack`),
-    in slots of ceil((2 bits(M) + bits(m) + 2)/8) bytes: each slot of a
-    product of lists of entries below M sums at most m products of two of
-    them, less than m M^2.  A product f (deg f <= 2m - 2) reduces mod C by
-    Barrett: with I = 1/rev(C) mod y^(m-1), f = q*C + r has rev(q) =
-    rev(f)*I mod y^(m-1) and r = f - q*C mod x^m, two more products.
+    An element of B stays one packed int between products (`_packed_ring`):
+    x -> 2^w (`_pack`), w = 8 ceil((2 bits(M) + bits(m) + 2)/8), each slot
+    in [0, 2M).  A product's slot sums at most m products below 4M^2, so it
+    is below 4mM^2 <= 2^w.  fold brings every slot below 2M by Barrett on
+    two lanes, the even and the odd slots, with mu = floor(2^w/M): a slot x
+    < 2^w has x*mu < 2^(2w), so no lane slot carries into the next; a shift
+    by w moves the next one's bits only to bit w and above, which the lane
+    mask clears; so q = floor(x*mu/2^w) >= floor(x/M) - 1 (x/2^w < 1), q*M
+    <= x and x - q*M is in [0, 2M).  For f = q*C + r, deg f <= 2m - 2, q_i
+    is slot m - 2 + i of (f div x^m)*rev(1/rev(C) mod y^(m-1)) (Barrett as
+    a middle product), and r = f + q*C- mod x^m, C- = -C mod M below x^m,
+    so nothing borrows; these slots sum at most m - 1 products below 2M^2
+    and one f_i < 2M, and each is folded.
     """
     m, n = len(c) - 1, max(len(a), len(b)) - 1
-    lead = c[-1]
-    inv = pow(lead, -1, p)
+    lead, inv = c[-1], pow(c[-1], -1, p)
     mc = [x * inv % p for x in c]
     abar, bbar = mod_divmod(a, mc, p)[1], mod_divmod(b, mc, p)[1]
     pn = p ** (1 + sum(m // p ** i for i in range(1, m.bit_length())))  # M = p^N
-    k = (2 * pn.bit_length() + m.bit_length() + 9) // 8
-    # 1/rev(C) to 2m - 1 terms: I is its first m - 1
+    # 1/rev(C) to 2m - 1 terms: the traces read all, Barrett the first m - 1
     rc, series = mc[-2::-1], [1]
     for i in range(1, 2 * m - 1):
         series.append(-sum(map(mul, rc, series[::-1])) % pn)
+    k, mulmod = _packed_ring(mc, pn, series[:m - 1])
     traces = _unpack(_pack(mod_deriv(mc, pn), k, "big") * _pack(series, k), k, 0, 2 * m - 1, pn)
-    barrett, cpack = _pack(series[:m - 1], k), _pack(mc[:m], k)
-
-    def reduce(prod: int) -> list:
-        """The residue mod C of a packed product of two lists."""
-        f = _unpack(prod, k, 0, 2 * m - 1, pn)
-        q = _unpack(_pack(f[m:], k, "big") * barrett, k, 0, m - 1, pn)  # rev(q)
-        qc = _unpack(_pack(q, k, "big") * cpack, k, 0, m, pn)
-        return trim([(x - y) % pn for x, y in zip(f, qc)])
-
     if len(bbar) == 1:
         s0, norm, inv = None, pow(bbar[0], m, p), pow(bbar[0], -1, p)
-        w = [x * inv % p for x in abar]
+        w = _pack([x * inv % p for x in abar], k)
     else:
         for s0 in range(min(m, p - 1) + 1):
             u = trim([(x - s0 * y) % p for x, y in zip_longest(abar, bbar, fillvalue=0)])
@@ -434,21 +452,17 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
             g = mod_gcd(abar or bbar, mc, p)
             parts = [mod_res_linear(a, b, h, p) for h in (g, mod_divmod(mc, g, p)[0])]
             return [x * pow(lead, n, p) % p for x in mod_mul(*parts, p)]
-        w = reduce(_pack(bbar, k) * _pack(uinv, k))
-    r = isqrt(m - 1) + 1
-    wpack = _pack(w, k)
-    baby = [[1], w]
+        w = mulmod(_pack(bbar, k), _pack(uinv, k))
+    r, baby = isqrt(m - 1) + 1, [1, w]
     while len(baby) <= r:
-        baby.append(reduce(_pack(baby[-1], k) * wpack))
-    giant = baby.pop()
-    gpack, tpack = _pack(giant, k), _pack(traces, k)
+        baby.append(mulmod(baby[-1], w))
+    giant = g = baby.pop()
+    baby, trev = [_unpack(x, k, 0, m, pn) for x in baby], _pack(traces, k, "big")
     sums = []
     for j in range(m // r + 1):
-        if j:
-            g = reduce(_pack(g, k) * gpack) if j > 1 else giant
-            v = _unpack(tpack * _pack(g, k, "big"), k, len(g) - 1, m, pn)
-        else:
-            v = traces[:m]
+        if j > 1:
+            g = mulmod(g, giant)
+        v = _unpack(g * trev, k, m - 1, m, pn)[::-1] if j else traces[:m]
         sums.extend(sum(map(mul, x, v)) % pn for x in baby[:m + 1 - j * r])
     e = [1]
     for i in range(1, m + 1):

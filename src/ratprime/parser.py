@@ -13,7 +13,8 @@ is a list until a division by a nonconstant makes it a `RatFun`, and from
 then on an operation with a `RatFun` operand lifts both sides to `RatFun`.
 `parse_expression` builds one `RatFun` of a list result at the end.  Every
 list value is reduced mod p and trimmed: a literal is reduced once, x is
-[0, 1], sums are `mod_add` and `mod_sub`, products `mod_mul` and powers
+[0, 1], a sum adds a monomial no longer than it to its one entry in place
+and is otherwise `mod_add` or `mod_sub`, products are `mod_mul` and powers
 `mod_pow` (a power of a monomial c*x^d is c^n*x^(d*n) there, without
 products), and a constant factor or a constant divisor is a scaling by a
 nonzero scalar (by the field inverse for '/').  So every degree the parser
@@ -33,7 +34,7 @@ import re
 import sys
 from fractions import Fraction
 
-from ._intpoly import mod_add, mod_mul, mod_pow, mod_sub
+from ._intpoly import mod_add, mod_mul, mod_pow, mod_sub, trim
 from .errors import PreconditionError, RatPrimeError
 from .fields import Field
 from .poly import Poly
@@ -127,16 +128,21 @@ class _Evaluator:
         return [a * c % p for a in value] if p else [a * c if a else a for a in value]
 
     def expr(self):
-        toks = self.toks
+        toks, p = self.toks, self.p
         value = self.term()
         while toks[-1] == "+" or toks[-1] == "-":
             minus = toks.pop() == "-"
             rhs = self.term()
-            if type(value) is list and type(rhs) is list:
-                value = mod_sub(value, rhs, self.p) if minus else mod_add(value, rhs, self.p)
-            else:
+            if type(value) is not list or type(rhs) is not list:
                 value, rhs = self.lift(value), self.lift(rhs)
                 value = value - rhs if minus else value + rhs
+            elif len(rhs) <= len(value) and rhs.count(0) == len(rhs) - 1:
+                k = len(rhs) - 1  # rhs = c*x^k: one entry, in place
+                c = value[k] - rhs[k] if minus else value[k] + rhs[k]
+                value[k] = c % p if p else c
+                trim(value)  # pops only a cancelled top entry
+            else:
+                value = mod_sub(value, rhs, p) if minus else mod_add(value, rhs, p)
         return value
 
     def term(self):

@@ -2,15 +2,15 @@
 
 `resultant` is the kernel's `mod_resultant`: the subresultant PRS over Z
 after clearing denominators, Euclid on residues over F_p.  The
-polynomial-in-t resultants Res_x(a - t*b, c) take one route per field, on
-plain kernel lists.  Over every F_p it is a scaled characteristic
-polynomial in F_p[x]/(c) (`_intpoly.mod_res_linear`), with no evaluation
-and no interpolation.  Over Q it is evaluated at deg c + 1 integer nodes on
-integer lists, cleared once, whose remainder sequences share their t-free
-first steps (`_intpoly.res_linear_nodes`), and the values are interpolated
-in Z (`_intpoly.mod_interpolate`), with one division by the cleared
-denominators at the end.  The test suite cross-checks both routes against
-the Sylvester determinant.
+polynomial-in-t resultants Res_x(a - t*b, c) take one route per field.
+Over every F_p it is a scaled characteristic polynomial in F_p[x]/(c)
+(`_intpoly.mod_res_linear`), whose elements stay packed ints, with no
+evaluation and no interpolation.  Over Q it is evaluated at deg c + 1
+integer nodes on integer lists, cleared once, whose remainder sequences
+share their t-free first steps (`_intpoly.res_linear_nodes`), and the
+values are interpolated in Z (`_intpoly.mod_interpolate`), with one
+division by the cleared denominators at the end.  The test suite
+cross-checks both routes against the Sylvester determinant.
 """
 
 from __future__ import annotations

@@ -262,6 +262,17 @@ def test_parse_ratfun_operands_match_reference(p, source):
     assert _outcome(source, field, parse_expression) == _outcome(source, field, _reference_parse)
 
 
+@pytest.mark.parametrize("p", [0, 5, 2**31 - 1])
+@pytest.mark.parametrize("source", [
+    "x^3+2*x^3-3*x^3+1", "x^5-x^5", "x^2+x-x^2-x+4", "3*x^4+x^2-3*x^4", "x^2+5*x+x^2",
+    "7*x^3-2*x^3-5*x^3", "(x^2+1)-x^2-1", "1+x^3-x^3+x^3", "x-x+x^2"])
+def test_parse_repeated_and_cancelling_powers_match_reference(p, source):
+    # a monomial right operand no longer than the sum so far updates one entry
+    # in place, and a cancelled top entry is trimmed (5*x vanishes over F_5)
+    field = field_of(p)
+    assert _outcome(source, field, parse_expression) == _outcome(source, field, _reference_parse)
+
+
 @pytest.mark.parametrize("p, source, position", [
     (5, "x/5", 1), (2, "x^2+1/(x-x)", 5), (0, "(x+1)/(2-2)*x", 5), (7, "3/14", 1)])
 def test_parse_error_positions_match_reference(p, source, position):

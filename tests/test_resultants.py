@@ -508,14 +508,14 @@ _KERNEL_KINDS = ("D[f - t]", "rational f", "zero at t = 0", "b shares a square w
 def _mod_res_linear_case(draw):
     """(a, b, c, kind) over F_p that take `_intpoly.mod_res_linear`, with p
     = deg c + 2 (the smallest such prime field when b_n != 0), 101,
-    1000003 or 2^31 - 1."""
+    1000003 or 2^31 - 1; deg c reaches 24 at the word-size primes."""
     kind = draw(st.sampled_from(_KERNEL_KINDS))
     p = draw(st.sampled_from([0, 101, 1_000_003, 2**31 - 1] if kind != "rational f"
                              else [101, 1_000_003, 2**31 - 1]))
     if kind == "deg c = 1":
         m = 1
     elif p:
-        m = draw(st.integers(2, 9))
+        m = draw(st.integers(2, 24 if p > 101 else 9))
     else:  # deg c + 2 prime
         m = draw(st.sampled_from([3, 5, 9, 11] if kind != "D[f - t]" else [3, 5, 9]))
     p = p or m + 2
@@ -649,6 +649,43 @@ def test_mod_res_linear_at_deg_c_64(rng, kind):
     res = res_x_linear_t(a, b, c)
     assert res == _per_node_res_x_linear_t(a, b, c)
     assert (not res.coeff(0)) == (kind == "zero at t = 0")
+
+
+# the largest prime below the Miller-Rabin bound, the largest field modulus
+_TOP_PRIME = 3_317_044_064_679_887_385_961_813
+
+
+@pytest.mark.parametrize("pn", [2**61 - 1, _TOP_PRIME, 2**64, 3**19])
+def test_packed_product_at_the_slot_bounds(rng, pn):
+    # both factors hold 2M - 1 in every slot, the most a packed element
+    # holds, so a slot of their product reaches m (2M - 1)^2, which for M =
+    # 2^61 - 1 comes within a bit of the slot width at some m; C = x^m + (M -
+    # 1)(1 + .. + x^(m-1)) or random.  Every remainder must be the one over
+    # Z/M, in slots below 2M
+    for m in range(1, 66):
+        for low in ([pn - 1] * m, [rng.randrange(pn) for _ in range(m)]):
+            c, inverse = low + [1], [1]
+            for i in range(1, m - 1):  # 1/rev(C) mod y^(m-1)
+                inverse.append(-sum(c[m - j] * inverse[i - j] for j in range(1, i + 1)) % pn)
+            k, mulmod = _intpoly._packed_ring(c, pn, inverse[:m - 1])
+            top = _intpoly._pack([2 * pn - 1] * m, k)
+            out = mulmod(top, top)
+            assert out.bit_length() <= 8 * k * m
+            slots = _intpoly._unpack(out, k, 0, m, 1 << 8 * k)
+            assert max(slots) < 2 * pn
+            square = [x % pn for x in _intpoly.int_mul([2 * pn - 1] * m, [2 * pn - 1] * m)]
+            want = _intpoly.mod_divmod(square, c, pn)[1]
+            assert [x % pn for x in slots] == want + [0] * (m - len(want))
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p in (2**61 - 1, _TOP_PRIME)
+                                  for m in (1, 2, 63, 64, 65)] + [(2, 64), (3, 40)])
+def test_mod_res_linear_with_every_residue_p_minus_1(p, m):
+    # residues p - 1 everywhere; at p = 2, m = 64 the kernel works mod M =
+    # 2^64, at p = 3, m = 40 mod 3^19
+    field = PrimeField(p)
+    a, b, c = (Poly(field, [p - 1] * (d + 1)) for d in (m + 1, m // 2, m))
+    assert res_x_linear_t(a, b, c) == _per_node_res_x_linear_t(a, b, c)
 
 
 @st.composite

@@ -60,14 +60,15 @@ def _yun(f: list, p: int) -> list[tuple[list, int]]:
     gcd(b, 0) = b is the last part.  Mod p, f is monic and the gcds are
     monic.  When p = 0, f is a primitive integer list with lc(f) > 0, the
     gcds are primitive with positive leading coefficients, and each division
-    by one is exact in Z (Gauss), so the parts come out the same way."""
+    by one is exact in Z (Gauss), so the parts come out the same way.  A gcd
+    of 1 divides nothing."""
     if p:
         gcd, div = partial(mod_gcd, p=p), partial(mod_exact_div, p=p)
     else:
         gcd, div = int_gcd, int_exact_div
     df = mod_deriv(f, p)
     u = gcd(f, df)
-    b, c = div(f, u), div(df, u)
+    b, c = (div(f, u), div(df, u)) if len(u) > 1 else (f, df)
     parts, i = [], 1
     while len(b) > 1:
         d = mod_sub(c, mod_deriv(b, p), p)
@@ -77,7 +78,8 @@ def _yun(f: list, p: int) -> list[tuple[list, int]]:
         a = gcd(b, d)
         if len(a) > 1:
             parts.append((a, i))
-        b, c, i = div(b, a), div(d, a), i + 1
+            b, d = div(b, a), div(d, a)
+        c, i = d, i + 1
     return parts
 
 

@@ -13,6 +13,9 @@ from ratprime import (Poly, PrimeField, QQ, RatFun, disc_in_t, from_table, poly_
 # under test
 untimed = settings(deadline=None)
 
+# the largest prime below the Miller-Rabin bound, the largest field modulus
+TOP_PRIME = 3_317_044_064_679_887_385_961_813
+
 
 def qpoly(*coeffs):
     return Poly(QQ, coeffs)

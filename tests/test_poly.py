@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -10,8 +10,9 @@ from ratprime import _intpoly, squarefree
 from ratprime import (NEG_INF, Poly, PreconditionError, PrimeField, QQ, RatFun,
                       discriminant, poly_compose, poly_divmod, poly_exact_div, poly_gcd,
                       rat_compose, resultant, squarefree_decompose)
-from conftest import (field_of, fppoly, from_sympy, qpoly, random_poly, sylvester_resultant,
-                      sympy_fraction, sympy_homogenized, to_sympy, untimed, valency)
+from conftest import (TOP_PRIME, field_of, fppoly, from_sympy, qpoly, random_poly,
+                      sylvester_resultant, sympy_fraction, sympy_homogenized, to_sympy, untimed,
+                      valency)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +305,23 @@ def test_squarefree_q_needs_no_prs_gcd(monkeypatch):
     assert calls
 
 
+def test_yun_divides_by_no_gcd_of_1(monkeypatch):
+    # a squarefree f has gcd(f, f') = 1 and needs no exact division; g^2
+    # divides f and f' by g, and its multiplicity-1 gcd of 1 divides nothing
+    calls = []
+    for name in ("mod_exact_div", "int_exact_div"):
+        monkeypatch.setattr(squarefree, name, lambda *args, real=getattr(squarefree, name), **kw:
+                            calls.append(1) or real(*args, **kw))
+    for f in (fppoly(7, 3, 1, 0, 0, 0, 1), fppoly(2**31 - 1, *range(1, 22)),
+              qpoly(5, 2, 0, 1)):
+        assert squarefree_decompose(f).parts == ((f.monic(), 1),)
+    assert calls == []
+    for g in (fppoly(7, 3, 1, 1), qpoly(1, 0, 2)):
+        assert squarefree_decompose(g * g).parts == ((g.monic(), 2),)
+        assert len(calls) == 2
+        calls.clear()
+
+
 def test_squarefree_takes_musser_only_when_p_is_at_most_the_degree(monkeypatch):
     # Yun's loop needs every multiplicity below p; (x+1)^4 (x+2)^2 over F_3
     # has degree 6 >= 3, and its leftover cube root x + 1 has degree 1 < 3
@@ -391,6 +409,78 @@ def test_fp_gcd_matches_sympy(case):
     assert d.lc == field.one
     assert poly_divmod(f, d)[1].is_zero and poly_divmod(g, d)[1].is_zero
     assert d == from_sympy(p, to_sympy(p, a).gcd(to_sympy(p, b))).monic()
+
+
+_EUCLID_PRIMES = (2, 3, 5, 1_000_003, 2**31 - 1, 2**61 - 1, TOP_PRIME)
+
+
+def _gcd_cases(rng, p):
+    """(a, b, d, exact) operand pairs of 9 to 80 coefficients, where d is
+    gcd(a, b) when `exact` and a divisor of it otherwise."""
+    def poly(n):  # n coefficients, the top one nonzero
+        return [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+
+    mul = _intpoly.mod_mul
+    cases = []
+    for degree in (0, 1, 7, 30):  # a common factor of known degree
+        h = _intpoly.mod_gcd(poly(degree + 1), [], p)
+        cases.append((mul(h, poly(rng.randint(9, 50)), p), mul(h, poly(rng.randint(9, 50)), p),
+                      h, False))
+    for n, m in ((9, 9), (80, 9), (60, 45), (64, 64)):
+        # (x^n - 1)/(x - 1) and (x^m - 1)/(x - 1) times p - 1: the gcd is
+        # (x^g - 1)/(x - 1), g = gcd(n, m), and the remainders drop degrees
+        cases.append(([p - 1] * n, [p - 1] * m, [1] * gcd(n, m), True))
+    for drop in (2, 3, 12):  # a = q*b + r with deg r = deg b - drop
+        b = poly(rng.randint(drop + 9, 40))
+        a = _intpoly.mod_add(mul(b, poly(rng.randint(1, 30)), p), poly(len(b) - drop), p)
+        cases.append((a, b, [1], False))
+    sparse = [[1 if rng.random() < 0.2 else 0 for _ in range(n)] + [1] for n in (40, 70)]
+    cases.append((*sparse, [1], False))
+    return cases
+
+
+@pytest.mark.parametrize("p", _EUCLID_PRIMES)
+def test_packed_gcd_matches_the_list_loop(rng, p, monkeypatch):
+    # operands of more than PACKED_GCD_ABOVE coefficients take the packed
+    # Euclid; the list loop, taken when the bound is raised, is the reference
+    cases = _gcd_cases(rng, p)
+    packed = [_intpoly.mod_gcd(list(a), list(b), p) for a, b, _, _ in cases]
+    calls = []
+    euclid = _intpoly._packed_euclid
+    monkeypatch.setattr(_intpoly, "_packed_euclid", lambda *args: calls.append(1) or euclid(*args))
+    assert [_intpoly.mod_gcd(list(b), list(a), p) for a, b, _, _ in cases] == packed
+    assert len(calls) == len(cases)
+    monkeypatch.setattr(_intpoly, "PACKED_GCD_ABOVE", 10**9)
+    for (a, b, d, exact), got in zip(cases, packed):
+        assert _intpoly.mod_gcd(list(a), list(b), p) == got
+        assert got == d if exact else not _intpoly.mod_divmod(got, d, p)[1]
+    assert len(calls) == len(cases)
+    a, b, _, _ = cases[3]  # sympy on a sample: a common factor of degree 30
+    assert Poly(field_of(p), packed[3]) == from_sympy(p, to_sympy(p, a).gcd(to_sympy(p, b))).monic()
+
+
+@pytest.mark.parametrize("p", _EUCLID_PRIMES)
+def test_packed_remainder_at_the_slot_bounds(p):
+    # f's low slots 0 against g's 2p - 1 with q0 = q1 = p - 1: a slot loses
+    # 2(p - 1)(2p - 1), just under K = 4p^2; f's low slots 2p - 1 against
+    # g's 0: a slot holds 4p^2 + 2p - 1.  g is monic mod p in the slot value
+    # p + 1, and the cofactors hold 2p - 1 in every slot
+    for n in (2, 3, 9, 40, 80):
+        k, rem = _intpoly._packed_euclid(p, n + 1)
+        for low_f, low_g in ((0, 2 * p - 1), (2 * p - 1, 0)):
+            g = [low_g] * (n - 1) + [p + 1]
+            f = [low_f] * (n - 1) + [(p - 1) * (1 + low_g) % p, p - 1]
+            s0, s1 = [2 * p - 1] * (n - 1), [2 * p - 1] * n
+            fp, gp, s0p, s1p = (_intpoly._pack(x, k) for x in (f, g, s0, s1))
+            r, dr, s = rem(fp, n, gp, n - 1, s0p, s1p)
+            q, want = _intpoly.mod_divmod([x % p for x in f], [x % p for x in g], p)
+            assert q == [p - 1, p - 1]
+            qs1 = _intpoly.mod_mul(q, [x % p for x in s1], p)
+            cofactor = _intpoly.mod_sub([x % p for x in s0], qs1, p)
+            for packed, count, residues in ((r, dr + 1, want), (s, len(cofactor), cofactor)):
+                slots = _intpoly._unpack(packed, k, 0, count, 1 << 8 * k)
+                assert max(slots, default=0) < 2 * p
+                assert [x % p for x in slots] == residues
 
 
 # ---------------------------------------------------------------------------

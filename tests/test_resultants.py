@@ -11,7 +11,7 @@ from ratprime import (DegenerateDerivativeError, Poly, PreconditionError,
                       rat_resultant_in_t, res_x_linear_t, resultant)
 from ratprime import _intpoly, resultants
 from ratprime.poly import poly_exact_div
-from conftest import (bareiss_determinant, field_of, fppoly, qpoly, random_poly,
+from conftest import (TOP_PRIME, bareiss_determinant, field_of, fppoly, qpoly, random_poly,
                       random_ratfun, split_discriminant, sylvester_matrix,
                       sylvester_resultant, sympy_fraction, to_sympy, untimed, valency)
 
@@ -651,11 +651,7 @@ def test_mod_res_linear_at_deg_c_64(rng, kind):
     assert (not res.coeff(0)) == (kind == "zero at t = 0")
 
 
-# the largest prime below the Miller-Rabin bound, the largest field modulus
-_TOP_PRIME = 3_317_044_064_679_887_385_961_813
-
-
-@pytest.mark.parametrize("pn", [2**61 - 1, _TOP_PRIME, 2**64, 3**19])
+@pytest.mark.parametrize("pn", [2**61 - 1, TOP_PRIME, 2**64, 3**19])
 def test_packed_product_at_the_slot_bounds(rng, pn):
     # both factors hold 2M - 1 in every slot, the most a packed element
     # holds, so a slot of their product reaches m (2M - 1)^2, which for M =
@@ -678,7 +674,7 @@ def test_packed_product_at_the_slot_bounds(rng, pn):
             assert [x % pn for x in slots] == want + [0] * (m - len(want))
 
 
-@pytest.mark.parametrize("p, m", [(p, m) for p in (2**61 - 1, _TOP_PRIME)
+@pytest.mark.parametrize("p, m", [(p, m) for p in (2**61 - 1, TOP_PRIME)
                                   for m in (1, 2, 63, 64, 65)] + [(2, 64), (3, 40)])
 def test_mod_res_linear_with_every_residue_p_minus_1(p, m):
     # residues p - 1 everywhere; at p = 2, m = 64 the kernel works mod M =
@@ -686,6 +682,35 @@ def test_mod_res_linear_with_every_residue_p_minus_1(p, m):
     field = PrimeField(p)
     a, b, c = (Poly(field, [p - 1] * (d + 1)) for d in (m + 1, m // 2, m))
     assert res_x_linear_t(a, b, c) == _per_node_res_x_linear_t(a, b, c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1_000_003, 2**31 - 1, 2**61 - 1, TOP_PRIME])
+def test_packed_norm_inverse(rng, p):
+    # N(u) = Res(c, u) against the list remainder sequence and u * u^-1 = 1
+    # mod c; u = 0 and u sharing the factor h with c = h*k are no units.
+    # Every residue p - 1 and a sparse u make remainders drop degrees
+    def poly(n, top=None):  # n + 1 coefficients, the top one nonzero
+        return [rng.randrange(p) for _ in range(n)] + [top or rng.randrange(1, p)]
+
+    def rem(f, c):
+        return _intpoly.mod_divmod(f, c, p)[1]
+
+    for m in (1, 2, 3, 9, 40, 80):
+        dh = rng.randint(1, max(m - 1, 1))
+        h = poly(dh, 1)
+        c = _intpoly.mod_mul(h, poly(m - dh, 1), p)
+        shared = _intpoly.mod_mul(h, poly(rng.randint(0, m - dh - 1)), p) if m > 1 else []
+        for u, shares in (([], True), (shared, True), (poly(rng.randint(0, m - 1)), False),
+                          ([p - 1] * m, False), ([1] + [0] * m + [1], False)):
+            u = rem(u, c)
+            norm, inverse = _intpoly._norm_inverse(u, c, p)
+            assert norm == (_intpoly._res_sequence(c, u, p) if u else 0)
+            if shares:
+                assert (norm, inverse) == (0, None)
+            elif norm:
+                assert rem(_intpoly.mod_mul(u, inverse, p), c) == [1]
+            else:
+                assert inverse is None
 
 
 @st.composite

@@ -3,14 +3,14 @@ and the polynomial kernel for both fields (`mod_*`) on trimmed coefficient
 lists, where p is the characteristic: ints in [0, p) over F_p, and p = 0
 meaning exact entries (ints or Fractions) over Q.  Both fields share one
 division loop, `mod_divmod`, which mod p runs the normal step, deg f = deg g
-+ 1, in one pass: the F_p resultant is Euclid on its remainders, and so is
-the F_p gcd of short operands.  Longer ones, and the norm and inverse in
-F_p[x]/(c), run Euclid on Kronecker-packed ints (`_packed_euclid`), each
-step a few whole-int operations and one fold of all slots.  Every scalar
-resultant's remainder sequence is written with one step, `_step`: Euclid's
-remainder mod p, and over Z the subresultant remainder, whose normal step
-forms the pseudo-remainder and divides it by its exact scale in the same
-pass; `_res_sequence` is a loop over `_step`.
++ 1, in one pass; the F_p gcd of short operands is Euclid on its
+remainders.  Every other F_p Euclid is one driver, `_euclid`, on
+Kronecker-packed ints (`_packed_euclid`), each step a few whole-int
+operations and one fold of all slots: it reads the gcd of longer operands,
+the resultant and the norm and inverse in F_p[x]/(c) off one remainder
+sequence.  Over Z the resultant is the subresultant PRS, written with one
+step, `_step`, whose normal step forms the pseudo-remainder and divides it
+by its exact scale in the same pass; `_res_sequence` is a loop over `_step`.
 
 Res_x(a - t*b, c) as a polynomial in t has one routine per field.  Over
 every F_p, `mod_res_linear` reads it off as a scaled characteristic
@@ -195,30 +195,24 @@ def prs_gcd(f: list[int], g: list[int]) -> list[int]:
 
 def prs_resultant(f: list[int], g: list[int]) -> int:
     """Resultant of nonzero trimmed integer lists, not both constant, by the
-    subresultant PRS (`_res_sequence` with p = 0)."""
-    return _res_sequence(f, g, 0)
+    subresultant PRS (`_res_sequence`)."""
+    return _res_sequence(f, g)
 
 
-def _step(f: list, g: list, p: int, sign: int, u, h) -> tuple:
-    """(r, sign, u, h) after one step of the resultant's remainder sequence
-    on f, g with deg f >= deg g >= 1, from the state (sign, u, h).  The sign
-    flips when deg f * deg g is odd.
-
-    Mod p it is Euclid: r = f mod g and u accumulates lc(g)^(deg f - deg r).
-    Over Z (p = 0) it is the subresultant PRS: r = prem(f, g) / (u * h^delta)
-    with delta = deg f - deg g, then u <- lc(g) and h <- lc(g)^delta /
-    h^(delta - 1); both divisions are exact in Z (Cohen, A Course in
-    Computational Algebraic Number Theory, Algorithm 3.3.7, without its
-    optional content step).  The normal step (delta = 1) forms the
-    pseudo-remainder lc^2 * f - (q1*x + q0)*g and divides it in one pass.
-    An empty r means a zero resultant, and then the state is not used.
+def _step(f: list, g: list, sign: int, u, h) -> tuple:
+    """(r, sign, u, h) after one step of the subresultant PRS on integer
+    lists f, g with deg f >= deg g >= 1, from the state (sign, u, h): r =
+    prem(f, g) / (u * h^delta) with delta = deg f - deg g, then u <- lc(g)
+    and h <- lc(g)^delta / h^(delta - 1); both divisions are exact in Z
+    (Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    3.3.7, without its optional content step).  The sign flips when deg f *
+    deg g is odd.  The normal step (delta = 1) forms the pseudo-remainder
+    lc^2 * f - (q1*x + q0)*g and divides it in one pass.  An empty r means a
+    zero resultant, and then the state is not used.
     """
     df, dg, lc = len(f) - 1, len(g) - 1, g[-1]
     if df * dg % 2:
         sign = -sign
-    if p:
-        r = mod_divmod(f, g, p)[1]
-        return r, sign, u * pow(lc, df - len(r) + 1, p) % p, h
     delta = df - dg
     if delta == 1:  # the scalars below at delta = 1, without their powers
         fn, scale = f[-1], u * h
@@ -233,23 +227,21 @@ def _step(f: list, g: list, p: int, sign: int, u, h) -> tuple:
     return r, sign, lc, h
 
 
-def _res_sequence(f: list, g: list, p: int, sign: int = 1, u=1, h=1):
-    """Res(f, g) of nonzero trimmed lists, not both constant: `_step` in a
-    loop from the state (sign, u, h) that earlier steps left (the defaults
-    start it), down to a constant g, which closes with sign * g^deg f,
-    times u mod p and divided by h^(deg f - 1) over Z (exactly)."""
+def _res_sequence(f: list, g: list, sign: int = 1, u=1, h=1):
+    """Res(f, g) of nonzero trimmed integer lists, not both constant: `_step`
+    in a loop from the state (sign, u, h) that earlier steps left (the
+    defaults start it), down to a constant g, which closes with sign *
+    g^deg f / h^(deg f - 1), exactly."""
     if len(f) < len(g):
         if (len(f) - 1) * (len(g) - 1) % 2:
             sign = -sign
         f, g = g, f
     while len(g) > 1:
-        r, sign, u, h = _step(f, g, p, sign, u, h)
+        r, sign, u, h = _step(f, g, sign, u, h)
         if not r:
             return 0
         f, g = g, r
     df = len(f) - 1
-    if p:
-        return sign * u * pow(g[0], df, p) % p
     return sign * g[0] ** df // h ** (df - 1) if df else sign
 
 
@@ -300,13 +292,13 @@ def res_linear_nodes(a: list, b: list, c: list, nodes) -> list:
         df, dg = len(f0) - 1, len(g0) - 1
         if not (df >= dg >= 1 and len(f1) <= dg and len(g1) <= 2 * dg - df):
             break
-        r0, *state = _step(f0, g0, 0, sign, u, h)
-        r1 = _at((_step(_at(f, 1), _at(g, 1), 0, sign, u, h)[0], r0), -1)  # r(1) - r(0)
+        r0, *state = _step(f0, g0, sign, u, h)
+        r1 = _at((_step(_at(f, 1), _at(g, 1), sign, u, h)[0], r0), -1)  # r(1) - r(0)
         if len(r1) >= len(r0):
             break
         sign, u, h = state
         f, g = g, (r0, r1)
-    return [_res_sequence(_at(f, t0), _at(g, t0), 0, sign, u, h) for t0 in nodes]
+    return [_res_sequence(_at(f, t0), _at(g, t0), sign, u, h) for t0 in nodes]
 
 
 def _pack(a: list, k: int, order: str = "little") -> int:
@@ -399,26 +391,34 @@ def _packed_euclid(p: int, n: int) -> tuple:
     return k, rem
 
 
-def _norm_inverse(u: list, c: list, p: int) -> tuple:
-    """(N(u), u^-1 mod c) for a monic c and deg u < deg c, where N(u) =
-    Res(c, u) is the product of u over the roots of c; (0, None) when u is
-    not a unit mod c.  Extended Euclid on packed ints (`_packed_euclid`):
-    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) for r =
-    f mod g, and each remainder is s*u mod c for the cofactor s it carries,
-    of degree deg c - deg f, masked to those slots."""
-    if not u:
-        return 0, None
-    (k, rem), m = _packed_euclid(p, len(c)), len(c) - 1
+def _euclid(a: list, b: list, p: int, inverse: bool) -> tuple:
+    """(r, Res(a, b), s) for residue lists a, b over F_p, a nonzero and not
+    both constant, by Euclid on packed ints (`_packed_euclid`; von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 6): r is the last nonzero
+    remainder, a constant exactly when Res(a, b) != 0, and s = b^-1 mod a
+    when `inverse` (for deg b < deg a) and Res(a, b) != 0, else None.
+
+    Each step takes r = f mod g (a first step with deg f < deg g gives r =
+    f, a swap), and Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
+    Res(g, r); a nonzero constant g closes with Res(f, g) = g^deg f, and g =
+    0 with Res = 0.  With `inverse`, each remainder is s*b mod a for the
+    cofactor s it carries, of degree deg a - deg f, masked to those slots."""
+    (k, rem), df, dg = _packed_euclid(p, max(len(a), len(b))), len(a) - 1, len(b) - 1
     w = 8 * k
-    f, g, df, dg, s0, s1, norm = _pack(c, k), _pack(u, k), m, len(u) - 1, 0, 1, 1
+    f, g, s0, s1, res = _pack(a, k), _pack(b, k), 0, int(inverse), 1
     while dg > 0:
         r, dr, s = rem(f, df, g, dg, s0, s1)
-        if dr < 0:
-            return 0, None
-        norm = norm * pow(g >> w * dg, df - dr, p) * (-1) ** (df * dg) % p
-        f, g, df, dg, s0, s1 = g, r, dg, dr, s1, s & (1 << w * (m - dg + 1)) - 1
-    inv = pow(g, -1, p)
-    return norm * pow(g, df, p) % p, [x * inv % p for x in _unpack(s1, k, 0, m - df + 1, p)]
+        res = res * pow(g >> w * dg, df - dr, p) % p
+        if df & dg & 1:
+            res = -res
+        f, g, df, dg, s0, s1 = g, r, dg, dr, s1, s & (1 << w * (len(a) - dg)) - 1 if s else 0
+    if dg < 0:
+        return _unpack(f, k, 0, df + 1, p), 0, None
+    s = None
+    if inverse:
+        inv = pow(g, -1, p)
+        s = [x * inv % p for x in _unpack(s1, k, 0, len(a) - df, p)]
+    return [g % p], res * pow(g, df, p) % p, s
 
 
 def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
@@ -439,7 +439,7 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
       (-1)^(nm+m) lc(c)^n b0^m t^m E_w(1/t).
     - Otherwise s0 is the first of 0..min(m, p - 1) where u = a~ - s0*b~ is
       a unit of A, which is where R(s0) = (-1)^(nm) lc(c)^n N(u) != 0 with
-      N(u) = prod_beta u(beta) = Res(c~, u) (`_norm_inverse`).  With w =
+      N(u) = prod_beta u(beta) = Res(c~, u) (`_euclid`).  With w =
       b~/u, a~ - t*b~ = u*(1 - (t - s0)*w), so R(t) = R(s0) E_w(t - s0).
     - When no s0 qualifies, R is zero if p > m (R has degree <= m and
       these m + 1 zeros) or if a~ = b~ = 0.  Otherwise u = a~, or b~ when
@@ -502,7 +502,7 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
     else:
         for s0 in range(min(m, p - 1) + 1):
             u = trim([(x - s0 * y) % p for x, y in zip_longest(abar, bbar, fillvalue=0)])
-            norm, uinv = _norm_inverse(u, mc, p)
+            _, norm, uinv = _euclid(mc, u, p, True)
             if norm:
                 break
         else:
@@ -635,14 +635,14 @@ def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:
 
 
 def mod_resultant(a: list, b: list, p: int):
-    """Res(a, b) of nonzero lists, not both constant.  Mod p by Euclid on
-    remainders (`_res_sequence`).  When p = 0, a = A/da and b = B/db with A,
+    """Res(a, b) of nonzero lists, not both constant.  Mod p it is read off
+    the packed Euclid (`_euclid`).  When p = 0, a = A/da and b = B/db with A,
     B integral, so Res(a, b) is the Fraction Res(A, B) / (da^deg b *
     db^deg a)."""
     if not p:
         (ai, da), (bi, db) = _clear(a), _clear(b)
         return Fraction(prs_resultant(ai, bi), da ** (len(b) - 1) * db ** (len(a) - 1))
-    return _res_sequence(a, b, p)
+    return _euclid(a, b, p, False)[1]
 
 
 def int_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -660,19 +660,15 @@ def int_gcd(a: list[int], b: list[int]) -> list[int]:
 def mod_gcd(a: list, b: list, p: int) -> list:
     """Monic gcd, inputs not both zero.  When p = 0 it is `int_gcd` of the
     cleared integer lists, made monic.  Mod p it is Euclid on the remainders
-    of `mod_divmod`, or on packed ints (`_packed_euclid`) when both operands
-    have more than PACKED_GCD_ABOVE coefficients: packing gains from about 6
-    coefficients at p = 2^31 - 1, but only from about 16 over F_3..F_13."""
+    of `mod_divmod`, or the last remainder of the packed Euclid (`_euclid`)
+    when both operands have more than PACKED_GCD_ABOVE coefficients, the one
+    size selection of the F_p Euclid: packing gains from about 6 coefficients
+    at p = 2^31 - 1, but only from about 16 over F_3..F_13."""
     if not p:
         d = int_gcd(_clear(a)[0], _clear(b)[0])
         return [Fraction(c, d[-1]) for c in d]
     if min(len(a), len(b)) > PACKED_GCD_ABOVE:
-        k, rem = _packed_euclid(p, max(len(a), len(b)))
-        f, g, df, dg = _pack(a, k), _pack(b, k), len(a) - 1, len(b) - 1
-        while dg > 0:
-            r, dr, _ = rem(f, df, g, dg)
-            f, g, df, dg = g, r, dg, dr
-        a, b = _unpack(f, k, 0, df + 1, p) if dg < 0 else [1], []
+        a, b = _euclid(a, b, p, False)[0], []
     while b:
         a, b = b, mod_divmod(a, b, p)[1]
     inv = pow(a[-1], -1, p)

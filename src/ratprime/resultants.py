@@ -1,7 +1,8 @@
 """Resultants, discriminants, and critical-value bookkeeping.
 
 `resultant` is the kernel's `mod_resultant`: the subresultant PRS over Z
-after clearing denominators, Euclid on residues over F_p.  The
+after clearing denominators, and over F_p the kernel's one packed Euclid
+(`_intpoly._euclid`), which also gives its long gcds and inverses.  The
 polynomial-in-t resultants Res_x(a - t*b, c) take one route per field.
 Over every F_p it is a scaled characteristic polynomial in F_p[x]/(c)
 (`_intpoly.mod_res_linear`), whose elements stay packed ints, with no
@@ -31,7 +32,8 @@ from .squarefree import SquarefreeFactorization, squarefree_decompose
 
 
 def resultant(f: Poly, g: Poly):
-    """Res(f, g) by the kernel's `mod_resultant`."""
+    """Res(f, g) by the kernel's `mod_resultant`: the subresultant PRS over
+    Q, read off the packed Euclid over F_p."""
     _same_field(f, g)
     if f.is_zero or g.is_zero:
         raise PreconditionError("resultant needs nonzero polynomials")

@@ -177,19 +177,19 @@ def _equal_degree(w: list[int], d: int, p: int, rng: random.Random | None = None
                     + _equal_degree(mod_divmod(w, z, p)[0], d, p, rng))
 
 
-def irreducible_factors(f: Poly, top: int | None = None) -> list[tuple[tuple[int, ...], int]]:
+def irreducible_factors(f: Poly, top: int) -> list[tuple[tuple[int, ...], int]]:
     """Monic irreducible factors of a nonzero f over F_p with multiplicities,
     sorted so that no order depends on the random splits, and checked by
-    multiplication.  With `top`, a squarefree part's factors above degree
-    top stay multiplied together in one entry (no divisor of degree at most
-    top can use them), which spares their splitting."""
+    multiplication.  A squarefree part's factors above degree top stay
+    multiplied together in one entry (no divisor of degree at most top can
+    use them), which spares their splitting; top = deg f splits them all."""
     p = f.field.char
     found = []
     for part, mult in squarefree_decompose(f).parts:
         # distinct degrees: gcd(g, x^(p^d) - x) is the product of the
         # degree-d factors once those of lower degree are divided out
         g, xq, d = list(part.coeffs), [0, 1], 0
-        while len(g) > 2 * d + 2 and (top is None or d < top):
+        while len(g) > 2 * d + 2 and d < top:
             d += 1
             xq = _powmod(xq, p, g, p)
             same = mod_gcd(g, mod_sub(xq, [0, 1], p), p)

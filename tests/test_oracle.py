@@ -343,7 +343,7 @@ def _factor_case(draw):
 def test_irreducible_factors_match_sympy(case, top):
     p, f = case
     _, reference = to_sympy(p, f.coeffs).factor_list()
-    full = irreducible_factors(f)
+    full = irreducible_factors(f, f.degree)
     assert full == sorted(((from_sympy(p, q).monic().coeffs, m) for q, m in reference),
                           key=lambda zm: (len(zm[0]), zm[0]))
     # with a top degree, the factors up to it are the same and the rest

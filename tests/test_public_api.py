@@ -54,3 +54,26 @@ def test_library_raises_instead_of_asserting():
     # python -O strips assert statements, so an internal check must raise
     for name, tree in _modules():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), name
+
+
+def test_every_private_module_name_is_used():
+    # a module-level name with one leading underscore that no other
+    # top-level statement of the package reads is dead code; a function that
+    # only calls itself counts as dead
+    defined, used = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            nodes = list(ast.walk(stmt))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            else:
+                names = {node.id for node in nodes
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            used.append((names, {node.id for node in nodes if isinstance(node, ast.Name)
+                                 and not isinstance(node.ctx, ast.Store)}
+                         | {node.attr for node in nodes if isinstance(node, ast.Attribute)}))
+    dead = [(module, name) for module, name in defined
+            if not any(name in reads for own, reads in used if name not in own)]
+    assert not dead, dead

@@ -82,6 +82,46 @@ def test_fast_resultant_agrees_with_sylvester(rng):
             assert resultant(f, g) == sylvester_resultant(f, g)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 1_000_003, 2**31 - 1, 2**61 - 1, TOP_PRIME])
+def test_fp_resultant_of_long_operands(rng, monkeypatch, p):
+    # over F_p resultant and discriminant read Res off one packed remainder
+    # sequence (`_intpoly._euclid`) at every size; here past 8 coefficients,
+    # in both orders: deg a < deg b, a or b constant, a common factor (Res =
+    # 0), remainders that drop 2 and 5 degrees, every residue p - 1, sparse
+    # operands, leading coefficients other than 1 when p > 2; odd degree
+    # products (9 * 21, 19 * 15, 15 * 13) make the sign of a step matter
+    field = PrimeField(p)
+
+    def poly(n):  # degree n
+        return Poly(field, [rng.randrange(p) for _ in range(n)] + [rng.randrange(p > 2, p - 1) + 1])
+
+    h = poly(3)
+    pairs = [(poly(24), poly(17)), (poly(9), poly(21)), (poly(0), poly(20)), (poly(24), poly(0)),
+             (h * poly(12), h * poly(9)), (Poly(field, [p - 1] * 25), Poly(field, [p - 1] * 13))]
+    for drop in (2, 5):  # a = q*b + r with deg r = deg b - drop
+        b = poly(15)
+        pairs.append((b * poly(4) + poly(15 - drop), b))
+    pairs.append(tuple(Poly(field, [int(rng.random() < 0.2) for _ in range(n)] + [1])
+                       for n in (24, 16)))
+    calls = []
+    euclid = _intpoly._euclid
+    monkeypatch.setattr(_intpoly, "_euclid", lambda *args: calls.append(1) or euclid(*args))
+    for a, b in pairs:
+        for f, g in ((a, b), (b, a)):
+            assert resultant(f, g) == sylvester_resultant(f, g)
+    assert resultant(*pairs[4]) == 0
+    for f in (pairs[0][0], pairs[5][0], pairs[6][0]):
+        n = f.degree
+        assert discriminant(f) == field.div((-1) ** (n * (n - 1) // 2)
+                                            * sylvester_resultant(f, f.derivative()), f.lc)
+    assert len(calls) == 2 * len(pairs) + 4
+    # sympy on a sample: the first pair and the discriminant of its a
+    a, b = pairs[0]
+    assert resultant(a, b) == field(sympy_fraction(to_sympy(p, a.coeffs).resultant(
+        to_sympy(p, b.coeffs))))
+    assert discriminant(a) == field(sympy_fraction(to_sympy(p, a.coeffs).discriminant()))
+
+
 @st.composite
 def _prs_pair(draw):
     """(f, g, shared) over Q with Fraction coefficients, built backwards from
@@ -686,9 +726,14 @@ def test_mod_res_linear_with_every_residue_p_minus_1(p, m):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 1_000_003, 2**31 - 1, 2**61 - 1, TOP_PRIME])
 def test_packed_norm_inverse(rng, p):
-    # N(u) = Res(c, u) against the list remainder sequence and u * u^-1 = 1
-    # mod c; u = 0 and u sharing the factor h with c = h*k are no units.
-    # Every residue p - 1 and a sparse u make remainders drop degrees
+    # the unit search of mod_res_linear: N(u) = Res(c, u) against the
+    # Sylvester determinant (sympy at m = 80, where the determinant's order
+    # is about 160), u * u^-1 = 1 mod c, and a last remainder of positive
+    # degree exactly when N(u) = 0; u = 0 and u sharing the factor h with c =
+    # h*k are no units.  Every residue p - 1 and a sparse u make remainders
+    # drop degrees
+    field = PrimeField(p)
+
     def poly(n, top=None):  # n + 1 coefficients, the top one nonzero
         return [rng.randrange(p) for _ in range(n)] + [top or rng.randrange(1, p)]
 
@@ -703,8 +748,14 @@ def test_packed_norm_inverse(rng, p):
         for u, shares in (([], True), (shared, True), (poly(rng.randint(0, m - 1)), False),
                           ([p - 1] * m, False), ([1] + [0] * m + [1], False)):
             u = rem(u, c)
-            norm, inverse = _intpoly._norm_inverse(u, c, p)
-            assert norm == (_intpoly._res_sequence(c, u, p) if u else 0)
+            last, norm, inverse = _intpoly._euclid(c, u, p, True)
+            if not u:
+                assert norm == 0
+            elif m < 80:
+                assert norm == sylvester_resultant(Poly(field, c), Poly(field, u))
+            else:
+                assert norm == int(to_sympy(p, c).resultant(to_sympy(p, u))) % p
+            assert (len(last) > 1) == (norm == 0)
             if shares:
                 assert (norm, inverse) == (0, None)
             elif norm:

@@ -13,10 +13,11 @@ step, `_step`, whose normal step forms the pseudo-remainder and divides it
 by its exact scale in the same pass; `_res_sequence` is a loop over `_step`.
 
 Res_x(a - t*b, c) as a polynomial in t has one routine per field.  Over
-every F_p, `mod_res_linear` reads it off as a scaled characteristic
-polynomial in F_p[x]/(c): power sums by baby steps and giant steps, each
-product one int product and one fold of packed ints, and Newton's identities,
-all mod p^(1 + v_p(deg c!)) (its docstring has the proof).  Over Z,
+every F_p, `mod_res_linear` reads it off the pencil's end, b or a, that is
+a unit in F_p[x]/(c), or splits c: a scaled characteristic polynomial, power
+sums by baby steps and giant steps, each product one int product and one
+fold of packed ints, and Newton's identities, all mod p^(1 + v_p(deg c!))
+(its docstring has the proof).  Over Z,
 `res_linear_nodes` evaluates it at many integer nodes t0 for interpolation:
 it runs the first steps once for all nodes, on remainders r0 + t*r1 whose
 quotients and leading coefficients carry no t, and only the rest per node.
@@ -431,22 +432,21 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
     Let a~, b~ be a, b mod c~ and let beta run over the roots of c, with
     multiplicity, in an algebraic closure.  Over F_p(t), a - t*b has
     x-degree n identically, so Poisson's formula holds there:
-        R(t) = (-1)^(nm) lc(c)^n prod_beta (a~(beta) - t*b~(beta)),
-    an identity in F_p[t], so it holds at every t = s too.  For w in A let
-    E_w(z) = prod_beta (1 - z*w(beta)), the determinant of 1 - z*w on A.
-    - When b~ is a nonzero constant b0 (every polynomial f, where b = 1),
-      w = a~/b0 and prod_beta (w(beta) - t) = (-1)^m t^m E_w(1/t), so R(t) =
-      (-1)^(nm+m) lc(c)^n b0^m t^m E_w(1/t).
-    - Otherwise s0 is the first of 0..min(m, p - 1) where u = a~ - s0*b~ is
-      a unit of A, which is where R(s0) = (-1)^(nm) lc(c)^n N(u) != 0 with
-      N(u) = prod_beta u(beta) = Res(c~, u) (`_euclid`).  With w =
-      b~/u, a~ - t*b~ = u*(1 - (t - s0)*w), so R(t) = R(s0) E_w(t - s0).
-    - When no s0 qualifies, R is zero if p > m (R has degree <= m and
-      these m + 1 zeros) or if a~ = b~ = 0.  Otherwise u = a~, or b~ when
-      a~ = 0, is not a unit (s0 = 0 tried a~, s0 = 1 tried -b~), so g =
-      gcd(u, c~) has 0 < deg g < m.  The roots of c~ are those of g and of
-      h = c~/g, and Poisson's formula for the monic g and h gives R =
-      lc(c)^n Res_x(a - t*b, g) Res_x(a - t*b, h), each computed here.
+        R(t) = (-1)^(nm) lc(c)^n prod_beta (a~(beta) - t*b~(beta)).
+    For w in A let E_w(z) = prod_beta (1 - z*w(beta)), the determinant of
+    1 - z*w on A, and N(u) = prod_beta u(beta) = Res(c~, u), nonzero exactly
+    when u is a unit (`_euclid` gives it and u^-1).  The pencil's two ends:
+    - t = oo, when b~ is a unit (every polynomial f, where b = 1): w =
+      a~/b~ and prod_beta (w(beta) - t) = (-1)^m t^m E_w(1/t), so R(t) =
+      (-1)^(nm+m) lc(c)^n N(b~) t^m E_w(1/t).
+    - t = 0, when a~ is a unit: w = b~/a~, so R(t) = (-1)^(nm) lc(c)^n
+      N(a~) E_w(t).
+    - Neither: R = 0 if a~ = 0 or b~ = 0, as R = (-1)^(nm) lc(c)^n times
+      (-t)^m N(b~) or N(a~).  Otherwise a~ != 0 is no unit, so its last
+      Euclid remainder g = gcd(a~, c~) has 0 < deg g < m.  The roots of c~
+      are those of g and of h = c~/g, and lc(g) lc(h) = 1, so Poisson's
+      formula for g and h gives R = lc(c)^n Res_x(a - t*b, g) Res_x(a -
+      t*b, h), each computed here.
 
     E_w comes from the power sums P_k = sum_beta w(beta)^k = Tr(w^k) (the
     trace of multiplication by w on A) by Newton's identities k*E_k =
@@ -489,6 +489,14 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
     lead, inv = c[-1], pow(c[-1], -1, p)
     mc = [x * inv % p for x in c]
     abar, bbar = mod_divmod(a, mc, p)[1], mod_divmod(b, mc, p)[1]
+    end, (_, norm, uinv), num = -1, _euclid(mc, bbar, p, True), abar  # t = oo
+    if not norm:
+        end, (g, norm, uinv), num = 1, _euclid(mc, abar, p, True), bbar  # t = 0
+        if not norm:
+            if not (abar and bbar):
+                return []
+            parts = [mod_res_linear(a, b, h, p) for h in (g, mod_divmod(mc, g, p)[0])]
+            return [x * pow(lead, n, p) % p for x in mod_mul(*parts, p)]
     pn = p ** (1 + sum(m // p ** i for i in range(1, m.bit_length())))  # M = p^N
     # 1/rev(C) to 2m - 1 terms: the traces read all, Barrett the first m - 1
     rc, series = mc[-2::-1], [1]
@@ -496,22 +504,7 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
         series.append(-sum(map(mul, rc, series[::-1])) % pn)
     k, mulmod = _packed_ring(mc, pn, series[:m - 1])
     traces = _unpack(_pack(mod_deriv(mc, pn), k, "big") * _pack(series, k), k, 0, 2 * m - 1, pn)
-    if len(bbar) == 1:
-        s0, norm, inv = None, pow(bbar[0], m, p), pow(bbar[0], -1, p)
-        w = _pack([x * inv % p for x in abar], k)
-    else:
-        for s0 in range(min(m, p - 1) + 1):
-            u = trim([(x - s0 * y) % p for x, y in zip_longest(abar, bbar, fillvalue=0)])
-            _, norm, uinv = _euclid(mc, u, p, True)
-            if norm:
-                break
-        else:
-            if p > m or not (abar or bbar):
-                return []
-            g = mod_gcd(abar or bbar, mc, p)
-            parts = [mod_res_linear(a, b, h, p) for h in (g, mod_divmod(mc, g, p)[0])]
-            return [x * pow(lead, n, p) % p for x in mod_mul(*parts, p)]
-        w = mulmod(_pack(bbar, k), _pack(uinv, k))
+    w = mulmod(_pack(num, k), _pack(uinv, k))
     r, baby = isqrt(m - 1) + 1, [1, w]
     while len(baby) <= r:
         baby.append(mulmod(baby[-1], w))
@@ -528,12 +521,8 @@ def mod_res_linear(a: list, b: list, c: list, p: int) -> list:
         power = gcd(i, pn)  # p^(v_p(i)), as v_p(i) < N
         e.append(-sum(map(mul, sums[1:i + 1], e[::-1])) * pow(i // power, -1, pn) % pn // power)
     e = [x % p for x in e]
-    scale = (-1) ** (n * m) * pow(lead, n, p) * norm % p
-    if s0 is None:
-        e, scale = e[::-1], (-1) ** m * scale
-    elif s0:
-        e = mod_compose(e, [-s0 % p, 1], p)
-    return trim([x * scale % p for x in e])
+    scale = (-1) ** (n * m + m * (end < 0)) * pow(lead, n, p) * norm % p
+    return trim([x * scale % p for x in e[::end]])
 
 
 def int_mul(a: list, b: list) -> list:

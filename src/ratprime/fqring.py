@@ -18,6 +18,8 @@ from ._intpoly import mod_eval
 from .poly import Poly
 from .resultants import interpolate
 
+MAX_P = 2000  # the largest p of a function ring, whose p^2-step build takes about a second
+
 
 class FqClass(Enum):
     ZERO = "zero"
@@ -67,19 +69,27 @@ def _fold(f: Poly) -> Poly:
     return Poly(f.field, folded)
 
 
+def _check_p(p: int) -> None:
+    if p > MAX_P:
+        raise PreconditionError(f"F_{p} exceeds the bound p <= {MAX_P} of a function ring")
+
+
 def reduce_ring(f: Poly) -> FqFunction:
     """Image of a polynomial in F_q[x]/(x^q - x): value table plus the
     reduced representative of degree < q."""
     if not isinstance(f.field, PrimeField):
         raise PreconditionError("the function ring is defined over a prime field")
     p = f.field.p
-    table = tuple(mod_eval(f.coeffs, a, p) for a in range(p))
-    return FqFunction(p=p, table=table, reduced=_fold(f))
+    _check_p(p)
+    reduced = _fold(f)  # the same function, of degree < p: p^2 steps at most
+    table = tuple(mod_eval(reduced.coeffs, a, p) for a in range(p))
+    return FqFunction(p=p, table=table, reduced=reduced)
 
 
 def from_table(p: int, values) -> FqFunction:
     """The function with this value table; its reduced representative is
     the unique interpolant of degree < p."""
+    _check_p(p)
     field = PrimeField(p)
     values = [v % p for v in values]
     if len(values) != p:

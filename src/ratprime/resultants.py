@@ -88,8 +88,8 @@ def res_x_linear_t(a: Poly, b: Poly, c: Poly) -> Poly:
     matrix carry t).  One route runs per field.
 
     Over F_p, for every p, the kernel's `mod_res_linear` reads it off as a
-    characteristic polynomial of a multiplication in F_p[x]/(c), scaled
-    and shifted in t; its docstring has the proof.
+    scaled characteristic polynomial in F_p[x]/(c) of a/b (reversed in t),
+    else of b/a, else splits c; its docstring has the proof.
 
     Over Q it is evaluated at deg c + 1 integer nodes, which determine it;
     nodes where the x-leading coefficient of a - t*b would vanish are

@@ -3,6 +3,8 @@ from math import factorial
 
 import pytest
 
+from ratprime import fqring
+from ratprime._intpoly import mod_eval
 from ratprime import (FqClass, Poly, PreconditionError, PrimeField, classify, from_table,
                       is_permutation, poly_compose, reduce_ring, ring_compose,
                       zero_divisor_witness)
@@ -30,6 +32,34 @@ def test_reduce_ring_rejects_rationals():
     from ratprime import QQ
     with pytest.raises(PreconditionError):
         reduce_ring(Poly(QQ, (0, 1)))
+
+
+def test_ring_size_is_capped_before_any_table(monkeypatch):
+    # 2003 is the first prime past MAX_P = 2000: no value is evaluated, read
+    # or interpolated before the error, which names the bound
+    assert fqring.MAX_P == 2000
+    for name in ("mod_eval", "interpolate"):
+        monkeypatch.setattr(fqring, name, None)
+
+    def values():
+        raise AssertionError("the table was read")
+        yield
+
+    for p in (2003, 2**31 - 1):
+        with pytest.raises(PreconditionError, match="p <= 2000"):
+            reduce_ring(fppoly(p, 0, 0, 1))
+        with pytest.raises(PreconditionError, match="p <= 2000"):
+            from_table(p, values())
+    monkeypatch.undo()
+    # at the largest prime admitted, x^10000 + x is evaluated as its fold
+    # x^(1 + 9999 mod 1998) + x, of degree < p
+    lengths = []
+    monkeypatch.setattr(fqring, "mod_eval",
+                        lambda a, x, p: lengths.append(len(a)) or mod_eval(a, x, p))
+    f = Poly(PrimeField(1999), [0, 1] + [0] * 9998 + [1])
+    phi = reduce_ring(f)
+    assert max(lengths) <= 1999 and len(phi.table) == 1999
+    assert all(phi(a) == f(a) for a in (0, 1, 2, 1000, 1998))
 
 
 def test_reduction_fixpoint():

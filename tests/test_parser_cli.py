@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -615,6 +616,20 @@ def test_cli_precondition_messages(capsys, schema, argv, message):
     assert code == 3
     jsonschema.validate(report, schema)
     assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize("p", ["2003", "2147483647"])
+def test_cli_fq_past_the_ring_size_bound_exits_3(capsys, schema, p):
+    # the first prime past fqring.MAX_P and a word prime; both used to build
+    # a table of p entries and interpolate it, about p^2 steps
+    start = time.perf_counter()
+    code, report = _run_json(capsys, "fq", "--p", p, "x^2")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    jsonschema.validate(report, schema)
+    assert report["error"]["kind"] == "precondition-violation"
+    assert f"F_{p}" in report["error"]["message"]
+    assert "p <= 2000" in report["error"]["message"]
 
 
 def test_cli_fq_rejects_rational_functions(capsys, schema):

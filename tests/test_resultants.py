@@ -10,7 +10,7 @@ from ratprime import (DegenerateDerivativeError, Poly, PreconditionError,
                       greatest_proper_divisor, interpolate, poly_compose, rat_compose,
                       rat_resultant_in_t, res_x_linear_t, resultant)
 from ratprime import _intpoly, resultants
-from ratprime.poly import poly_exact_div
+from ratprime.poly import poly_divmod, poly_exact_div, poly_gcd
 from conftest import (TOP_PRIME, bareiss_determinant, field_of, fppoly, qpoly, random_poly,
                       random_ratfun, split_discriminant, sylvester_matrix,
                       sylvester_resultant, sympy_fraction, to_sympy, untimed, valency)
@@ -541,7 +541,8 @@ def test_disc_in_t_over_a_word_prime_evaluates_no_nodes(rng, monkeypatch):
 
 
 _KERNEL_KINDS = ("D[f - t]", "rational f", "zero at t = 0", "b shares a square with c",
-                 "common factor", "deg c = 1", "deg b >= deg a", "bad node")
+                 "common factor", "both ends non-units", "deg c = 1", "deg b >= deg a",
+                 "bad node")
 
 
 @st.composite
@@ -585,12 +586,22 @@ def _mod_res_linear_case(draw):
     elif kind == "common factor":
         s = poly(1)
         a, b, c = s * poly(n - 1), s * poly(draw(st.integers(0, 3))), s * poly(m - 1)
+    elif kind == "both ends non-units":  # a~ shares s1 with c, b~ shares s2
+        s1, s2 = poly(1), poly(1)
+        a, b, c = s1 * poly(n - 1), s2 * poly(draw(st.integers(0, n - 1))), s1 * s2 * poly(m - 2)
     elif kind == "deg b >= deg a":
         a, b = poly(draw(st.integers(-1, n))), poly(n)
     elif kind == "bad node":  # a_n / b_n = s for an s in 0..m+1
         b = poly(n)
         a = poly(n - 1) + b.scale(draw(st.integers(0, m + 1)))
     return a, b, c, kind
+
+
+def _splits(a: Poly, b: Poly, c: Poly) -> bool:
+    """Whether `mod_res_linear` splits c: a and b mod c are both nonzero and
+    both share a factor with c."""
+    abar, bbar = poly_divmod(a, c)[1], poly_divmod(b, c)[1]
+    return all(not u.is_zero and poly_gcd(u, c).degree > 0 for u in (abar, bbar))
 
 
 @untimed
@@ -603,41 +614,89 @@ def test_mod_res_linear_matches_the_references(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_intpoly, "mod_res_linear", lambda *args: calls.append(1) or kernel(*args))
         res = res_x_linear_t(a, b, c)
-    assert calls == [1]
+    # one level, or a split into at least two more
+    assert len(calls) >= 3 if _splits(a, b, c) else calls == [1]
     assert res == _per_node_res_x_linear_t(a, b, c)
     if a.degree + c.degree <= 12:
         assert res == _tpoly_sylvester(a, b, c)
     if kind == "common factor":
         assert res.is_zero
-    if kind == "zero at t = 0":
+    if kind in ("zero at t = 0", "both ends non-units"):
         assert not res.coeff(0)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1_000_003, 2**31 - 1])
 def test_split_matches_the_closed_form(rng, monkeypatch, p):
-    # a - t*b = (x - t)*b, so R(t) = Res_x(x - t, c) Res(b, c) = c(t) Res(b, c).
-    # x^p - x divides c, so R vanishes on all of F_p and no s0 gives a unit:
-    # the kernel splits c by a gcd, and lc(c) != 1 (for p > 2) pins its
-    # lc(c)^n
+    # a = s1*A, b = s2*B, c = s1*s2*h with deg a, deg b < deg c, so a~ = a and
+    # b~ = b are nonzero and share s1 and s2 with c: neither end of the pencil
+    # is a unit and the kernel splits c.  lc(c) = lc(h) != 1 (for p > 2) pins
+    # its lc(c)^n; the reference is the Sylvester determinant over F_p[t]
     calls = []
     kernel = _intpoly.mod_res_linear
     monkeypatch.setattr(_intpoly, "mod_res_linear",
                         lambda *args: calls.append(1) or kernel(*args))
     field = PrimeField(p)
-    x = Poly.x(field)
-    count = 0
-    while count < 30:
-        b = Poly(field, [rng.randrange(p) for _ in range(rng.randint(2, 4))] + [1])
-        if any(not b(s) for s in range(p)):
-            continue  # b must have no root in F_p
-        count += 1
-        # deg c >= 5 > deg b, so b~ = b is not a constant
-        h = Poly(field, [rng.randrange(p) for _ in range(rng.randint(0, 2) + max(0, 5 - p))]
-                 + [rng.randrange(2, p) if p > 2 else 1])
-        c = (x ** p - x) * h
+
+    def poly(degree, lead=1):
+        return Poly(field, [rng.randrange(p) for _ in range(degree)] + [lead])
+
+    for _ in range(30):
+        s1, s2 = poly(rng.randint(1, 2)), poly(rng.randint(1, 2))
+        a, b = s1 * poly(rng.randint(0, 1), rng.randrange(1, p)), s2 * poly(rng.randint(0, 1))
+        c = s1 * s2 * poly(rng.randint(1, 2), rng.randrange(2, p) if p > 2 else 1)
+        assert _splits(a, b, c)
         calls.clear()
-        assert res_x_linear_t(x * b, b, c) == c.scale(resultant(b, c))
+        assert res_x_linear_t(a, b, c) == _tpoly_sylvester(a, b, c)
         assert len(calls) > 1
+
+
+@pytest.mark.parametrize("p", [3, 1_000_003, 2**31 - 1])
+def test_mod_res_linear_tries_b_then_a_then_splits(rng, monkeypatch, p):
+    # each level of the kernel runs one Euclid for b~ (the end t = oo) and,
+    # when b~ is no unit, one for a~ (the end t = 0); a split follows only
+    # after both, and no level shifts E in t or takes a separate gcd
+    events = []
+
+    def spy(name):
+        kernel = getattr(_intpoly, name)
+        monkeypatch.setattr(_intpoly, name, lambda *args: events.append(name) or kernel(*args))
+
+    for name in ("mod_res_linear", "_euclid", "mod_compose", "mod_gcd"):
+        spy(name)
+    field = PrimeField(p)
+
+    def poly(degree):
+        return Poly(field, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+
+    def coprime_to(c, degree):
+        while poly_gcd(u := poly(degree), c).degree:
+            pass
+        return u
+
+    def euclids_per_level(a, b, c):
+        events.clear()
+        res = res_x_linear_t(a, b, c)
+        counts = []  # a level's Euclids all run before the levels it splits into
+        for event in events:
+            assert event in ("mod_res_linear", "_euclid")
+            if event == "mod_res_linear":
+                counts.append(0)
+            else:
+                counts[-1] += 1
+        assert res == _per_node_res_x_linear_t(a, b, c)
+        return counts
+
+    for _ in range(5):
+        f, s, s2 = poly(rng.randint(6, 9)), poly(1), poly(1)
+        assert euclids_per_level(f, Poly.one(field), f.derivative()) == [1]
+        # zero at t = 0 with a unit b~: the end t = oo
+        a, c = s * poly(2), s * poly(rng.randint(3, 4))
+        assert euclids_per_level(a, coprime_to(c, 2), c) == [1]
+        # b~ shares s with c and a~ is a unit: the end t = 0
+        assert euclids_per_level(coprime_to(c, 4), s * poly(1), c) == [2]
+        # both ends non-units: a split into levels of their own
+        levels = euclids_per_level(s * poly(2), s2 * poly(1), s * s2 * poly(2))
+        assert levels[0] == 2 and len(levels) >= 3
 
 
 @st.composite
@@ -726,12 +785,13 @@ def test_mod_res_linear_with_every_residue_p_minus_1(p, m):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 1_000_003, 2**31 - 1, 2**61 - 1, TOP_PRIME])
 def test_packed_norm_inverse(rng, p):
-    # the unit search of mod_res_linear: N(u) = Res(c, u) against the
+    # the pencil's ends in mod_res_linear: N(u) = Res(c, u) against the
     # Sylvester determinant (sympy at m = 80, where the determinant's order
     # is about 160), u * u^-1 = 1 mod c, and a last remainder of positive
     # degree exactly when N(u) = 0; u = 0 and u sharing the factor h with c =
     # h*k are no units.  Every residue p - 1 and a sparse u make remainders
-    # drop degrees
+    # drop degrees; the constant u = 1/2 (1 over F_2), as b~ of every
+    # polynomial f, has N(u) = u^m and u^-1 = [1/u]
     field = PrimeField(p)
 
     def poly(n, top=None):  # n + 1 coefficients, the top one nonzero
@@ -745,6 +805,9 @@ def test_packed_norm_inverse(rng, p):
         h = poly(dh, 1)
         c = _intpoly.mod_mul(h, poly(m - dh, 1), p)
         shared = _intpoly.mod_mul(h, poly(rng.randint(0, m - dh - 1)), p) if m > 1 else []
+        half = (p + 1) // 2
+        last, norm, inverse = _intpoly._euclid(c, [half], p, True)
+        assert (last, norm, inverse) == ([half], pow(half, m, p), [pow(half, -1, p)])
         for u, shares in (([], True), (shared, True), (poly(rng.randint(0, m - 1)), False),
                           ([p - 1] * m, False), ([1] + [0] * m + [1], False)):
             u = rem(u, c)

@@ -2,8 +2,7 @@
 and the polynomial kernel for both fields (`mod_*`) on trimmed coefficient
 lists, where p is the characteristic: ints in [0, p) over F_p, and p = 0
 meaning exact entries (ints or Fractions) over Q.  Both fields share one
-division loop, `mod_divmod`, which mod p runs the normal step, deg f = deg g
-+ 1, in one pass; the F_p gcd of short operands is Euclid on its
+division loop, `mod_divmod`; the F_p gcd of short operands is Euclid on its
 remainders.  Every other F_p Euclid is one driver, `_euclid`, on
 Kronecker-packed ints (`_packed_euclid`), each step a few whole-int
 operations and one fold of all slots: it reads the gcd of longer operands,
@@ -403,7 +402,10 @@ def _euclid(a: list, b: list, p: int, inverse: bool) -> tuple:
     f, a swap), and Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
     Res(g, r); a nonzero constant g closes with Res(f, g) = g^deg f, and g =
     0 with Res = 0.  With `inverse`, each remainder is s*b mod a for the
-    cofactor s it carries, of degree deg a - deg f, masked to those slots."""
+    cofactor s it carries, of degree deg a - deg f, masked to those slots.
+    A constant b takes no step, so nothing is packed."""
+    if len(b) == 1:
+        return [b[0]], pow(b[0], len(a) - 1, p), [pow(b[0], -1, p)] if inverse else None
     (k, rem), df, dg = _packed_euclid(p, max(len(a), len(b))), len(a) - 1, len(b) - 1
     w = 8 * k
     f, g, s0, s1, res = _pack(a, k), _pack(b, k), 0, int(inverse), 1
@@ -603,15 +605,9 @@ def mod_compose(g: list, h: list, p: int) -> list:
 def mod_divmod(f: list, g: list, p: int) -> tuple[list, list]:
     """f = q*g + r with deg r < deg g (g nonzero), mod p or exactly when
     p = 0.  Mod p, q is reduced as it is recorded and r once at the end, so
-    both are residues in [0, p); reducing r at every step instead cost a
-    fifth more at word-size p, over the F_p gcds, divisions and resultants
-    of a seed-0 benchmark pass."""
+    both are residues in [0, p)."""
     dg = len(g) - 1
     inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
-    if p and len(f) == dg + 2 and dg:  # the normal step, in one pass
-        q1 = f[-1] * inv % p
-        q0 = (f[-2] - q1 * g[-2]) * inv % p
-        return [q0, q1], trim([(x - q0 * y - q1 * z) % p for x, y, z in zip(f, g, (0, *g))])
     r = list(f)
     q = [0] * max(len(f) - dg, 0)
     for k in range(len(q) - 1, -1, -1):

@@ -28,7 +28,8 @@ the second lets an absent witness count as a proof.  One loop (`_search`)
 runs every route, and it alone applies the budget's candidate cap, which
 bounds one whole search across every right-factor degree and lift prime; a
 space (one degree, over Q at one lift prime) runs whole or not at all.
-`decompose` picks the search for f.
+`decompose` picks one of two searches: the direct one
+(`rat_decompose_all_k`) over F_p or for a polynomial, else reduce-and-lift.
 """
 
 from __future__ import annotations
@@ -274,14 +275,15 @@ def poly_decompose(f: Poly, budget: OracleBudget) -> SearchResult:
 
 
 def rat_decompose_all_k(f: RatFun, budget: OracleBudget) -> SearchResult:
-    """Witness search for f = g o h over F_p, over every admissible
-    right-factor degree, descending, all degrees together trying at most the
-    budget's cap.  An absent witness with exhaustive=True proves that f has
-    no decomposition over the base field."""
+    """Witness search for f = g o h over every admissible right-factor
+    degree, descending, all degrees together trying at most the budget's
+    cap: for any f over F_p, and for a polynomial f over Q, whose every
+    degree is tame (one candidate).  An absent witness with exhaustive=True
+    proves that f has no decomposition over the base field."""
     if f.is_zero or f.is_constant:
         raise PreconditionError("nonconstant function required")
-    if not isinstance(f.field, PrimeField):
-        raise PreconditionError("direct rational search runs over prime fields")
+    if not (f.field.char or f.is_polynomial):
+        raise PreconditionError("over Q the direct search runs on polynomials only")
     return _search(_RightFactors(f), _right_degrees(f.degree), budget.candidate_cap)
 
 
@@ -353,13 +355,9 @@ def rat_decompose_via_reduction(f: RatFun, budget: OracleBudget) -> SearchResult
 
 
 def decompose(f: RatFun, budget: OracleBudget) -> SearchResult:
-    """The search that fits f: polynomial search, rational search over F_p,
-    or reduce-and-lift over Q.  A witness is always a (RatFun, RatFun) pair."""
-    if f.is_polynomial:
-        search = poly_decompose(f.numerator, budget)
-        if search.witness:
-            search = replace(search, witness=tuple(RatFun(w) for w in search.witness))
-        return search
-    if f.field.char:
+    """The search that fits f: the one search (`rat_decompose_all_k`) over
+    F_p or for a polynomial, or reduce-and-lift over Q.  A witness is always
+    a (RatFun, RatFun) pair."""
+    if f.field.char or f.is_polynomial:
         return rat_decompose_all_k(f, budget)
     return rat_decompose_via_reduction(f, budget)

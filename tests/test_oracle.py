@@ -611,6 +611,27 @@ def test_solve_left_factor_rejects_constant_right_factor():
         solve_left_factor(f, RatFun.constant(QQ, 3))
 
 
+def test_decompose_reaches_one_bound_search(monkeypatch):
+    # decompose calls one of the names bound as the search layer, once, and
+    # never goes around them: the direct search for every F_p input and for
+    # a polynomial over Q, reduce-and-lift for a rational function over Q
+    calls, searches = [], {}
+    for name in ("poly_decompose", "rat_decompose_all_k", "rat_decompose_via_reduction"):
+        searches[name] = search = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda f, budget, name=name, search=search:
+                            calls.append(name) or search(f, budget))
+    for expr, field, route in (("(x^2+x)^3+1", PrimeField(5), "rat_decompose_all_k"),
+                               ("(x^2+1)^2/x^2", PrimeField(7), "rat_decompose_all_k"),
+                               ("(x^2+x)^3+1", QQ, "rat_decompose_all_k"),
+                               ("(x^2+1)^2/x^2", QQ, "rat_decompose_via_reduction")):
+        calls.clear()
+        f = parse_expression(expr, field)
+        g, h = decompose(f, OracleBudget()).witness
+        assert calls == [route] and rat_compose(g, h) == f
+    with pytest.raises(PreconditionError):  # the last f, rational over Q
+        searches["rat_decompose_all_k"](f, OracleBudget())
+
+
 @pytest.mark.parametrize("text", ["3", "0"])
 def test_rat_decompose_all_k_rejects_constant(text):
     # an empty search here used to read as an exhaustive proof of absence

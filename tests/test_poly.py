@@ -351,7 +351,7 @@ _Q_COEFF = st.one_of(st.fractions(-9, 9, max_denominator=9), st.integers(-9, 9),
 
 @st.composite
 def _kernel_pair(draw):
-    p = draw(st.sampled_from([0, 2, 3, 7, 13, 1_000_003, 2**31 - 1]))
+    p = draw(st.sampled_from([0, 2, 3, 7, 13, 1_000_003, 2**31 - 1, TOP_PRIME]))
     coeff = _Q_COEFF if p == 0 else st.integers(0, p - 1)
     coeffs = st.lists(coeff, max_size=9)
     return p, draw(coeffs), draw(coeffs)
@@ -382,7 +382,20 @@ def test_q_products_are_fractions():
         assert all(type(c) is Fraction for c in product)
 
 
+# deg f = deg g + 1 at every width of p: every residue p - 1, where the
+# quotient is x, and g = -(x^3 + x + 1), lc(g) = p - 1, where it is x + 1
+# and a remainder entry goes negative before its final reduction
 @untimed
+@example((2, [1] * 5, [1] * 4))
+@example((2, [1] * 5, [1, 1, 0, 1]))
+@example((3, [2] * 5, [2] * 4))
+@example((3, [2] * 5, [2, 2, 0, 2]))
+@example((1_000_003, [1_000_002] * 5, [1_000_002] * 4))
+@example((1_000_003, [1_000_002] * 5, [1_000_002, 1_000_002, 0, 1_000_002]))
+@example((2**31 - 1, [2**31 - 2] * 5, [2**31 - 2] * 4))
+@example((2**31 - 1, [2**31 - 2] * 5, [2**31 - 2, 2**31 - 2, 0, 2**31 - 2]))
+@example((TOP_PRIME, [TOP_PRIME - 1] * 5, [TOP_PRIME - 1] * 4))
+@example((TOP_PRIME, [TOP_PRIME - 1] * 5, [TOP_PRIME - 1, TOP_PRIME - 1, 0, TOP_PRIME - 1]))
 @given(_kernel_pair())
 def test_fp_divmod_matches_sympy(case):
     p, a, b = case

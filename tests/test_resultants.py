@@ -654,14 +654,15 @@ def test_split_matches_the_closed_form(rng, monkeypatch, p):
 def test_mod_res_linear_tries_b_then_a_then_splits(rng, monkeypatch, p):
     # each level of the kernel runs one Euclid for b~ (the end t = oo) and,
     # when b~ is no unit, one for a~ (the end t = 0); a split follows only
-    # after both, and no level shifts E in t or takes a separate gcd
+    # after both, and no level shifts E in t or takes a separate gcd; a
+    # constant b~ (every polynomial f) is a unit without a packed Euclid
     events = []
 
     def spy(name):
         kernel = getattr(_intpoly, name)
         monkeypatch.setattr(_intpoly, name, lambda *args: events.append(name) or kernel(*args))
 
-    for name in ("mod_res_linear", "_euclid", "mod_compose", "mod_gcd"):
+    for name in ("mod_res_linear", "_euclid", "_packed_euclid", "mod_compose", "mod_gcd"):
         spy(name)
     field = PrimeField(p)
 
@@ -674,21 +675,22 @@ def test_mod_res_linear_tries_b_then_a_then_splits(rng, monkeypatch, p):
         return u
 
     def euclids_per_level(a, b, c):
-        events.clear()
-        res = res_x_linear_t(a, b, c)
+        expected = _per_node_res_x_linear_t(a, b, c)
+        events.clear()  # from here on, the events of res_x_linear_t alone
+        assert res_x_linear_t(a, b, c) == expected
         counts = []  # a level's Euclids all run before the levels it splits into
         for event in events:
-            assert event in ("mod_res_linear", "_euclid")
+            assert event in ("mod_res_linear", "_euclid", "_packed_euclid")
             if event == "mod_res_linear":
                 counts.append(0)
-            else:
+            elif event == "_euclid":
                 counts[-1] += 1
-        assert res == _per_node_res_x_linear_t(a, b, c)
         return counts
 
     for _ in range(5):
         f, s, s2 = poly(rng.randint(6, 9)), poly(1), poly(1)
         assert euclids_per_level(f, Poly.one(field), f.derivative()) == [1]
+        assert "_packed_euclid" not in events
         # zero at t = 0 with a unit b~: the end t = oo
         a, c = s * poly(2), s * poly(rng.randint(3, 4))
         assert euclids_per_level(a, coprime_to(c, 2), c) == [1]
